@@ -2,7 +2,7 @@
 
 The ingest acceptance bar: attaching a :class:`FrameEmitter` (decoded
 sample batches, stat deltas, frames serialized to a file sink) must stay
-within **2%** of the bare sampling hook on the batched fast lane.  The
+within **2%** of the bare sampling hook on the columnar fast path.  The
 design that makes this possible: the hot-path callback is one list
 append; decoding (through the engine's memoized DecodeCache plus the
 emitter's serialized-entry cache) and JSON serialization are amortized
@@ -17,7 +17,7 @@ code).  Instead the plane's added work is timed directly, where each
 term has clean signal:
 
 * **flush cost** — wall time accumulated inside ``emitter.flush()``
-  during real ``process_batch`` passes (entry cache warm, the
+  during real ``process_columns`` passes (entry cache warm, the
   steady-state regime), averaged per pass;
 * **hook-callback delta** — one captured pass of (sample, weight)
   pairs replayed tight-loop through ``emitter._on_sample`` vs. the
@@ -66,12 +66,13 @@ def _median(values):
 
 
 def _steady_workload(calls):
+    from repro.core.columnar import EventColumns
     from repro.core.engine import DacceEngine
     from repro.program.generator import GeneratorConfig, generate_program
     from repro.program.trace import (
         TraceExecutor,
         WorkloadSpec,
-        run_workload_batched,
+        run_workload_columnar,
     )
 
     program = generate_program(
@@ -86,15 +87,17 @@ def _steady_workload(calls):
         )
     )
     spec = WorkloadSpec(calls=calls, seed=2, sample_period=0)
-    records = list(TraceExecutor(program, spec).compact_events())
+    columns = EventColumns.from_compact(
+        TraceExecutor(program, spec).compact_events()
+    )
 
     def warmed_engine():
         engine = DacceEngine()
-        run_workload_batched(program, spec, engine)
+        run_workload_columnar(program, spec, engine)
         engine.reencode()
         return engine
 
-    return warmed_engine, records
+    return warmed_engine, columns
 
 
 def _callback_delta(emitter, captured, repeats):
@@ -133,21 +136,21 @@ def del_all(items):
 def bench_ingest_overhead(calls, repeats, scratch_dir):
     from repro.ingest import FrameEmitter, FileFrameSink
 
-    warmed_engine, records = _steady_workload(calls)
+    warmed_engine, columns = _steady_workload(calls)
     engine = warmed_engine()
-    events = len(records)
+    events = len(columns)
 
     # Baseline: bare sampling hook, median pass wall time.
     bare_samples = []
     engine.install_sample_hook(
         64, lambda sample, weight: bare_samples.append(sample)
     )
-    engine.process_batch(records)  # warm, untimed
+    engine.process_columns(columns)  # warm, untimed
     bare_times = []
     for _ in range(repeats):
         del bare_samples[:]
         start = time.perf_counter()
-        engine.process_batch(records)
+        engine.process_columns(columns)
         bare_times.append(time.perf_counter() - start)
     engine.remove_sample_hook()
     del bare_samples[:]
@@ -162,13 +165,13 @@ def bench_ingest_overhead(calls, repeats, scratch_dir):
         engine.install_sample_hook(
             every, lambda sample, weight: captured.append((sample, weight))
         )
-        engine.process_batch(records)
+        engine.process_columns(columns)
         engine.remove_sample_hook()
 
         frames_path = os.path.join(scratch_dir, "bench-frames-%d.ndjson" % every)
         emitter = FrameEmitter(FileFrameSink(frames_path))
         emitter.attach(engine, every=every)
-        engine.process_batch(records)
+        engine.process_columns(columns)
         emitter.flush()  # warm pass: fills the serialized-entry cache
 
         # Flush cost: accumulate wall time inside every flush() during
@@ -183,7 +186,7 @@ def bench_ingest_overhead(calls, repeats, scratch_dir):
 
         emitter.flush = timed_flush  # _on_sample resolves the patch too
         for _ in range(repeats):
-            engine.process_batch(records)
+            engine.process_columns(columns)
             emitter.flush()
         emitter.flush = inner_flush
         flush_s = flush_spent[0] / repeats
@@ -220,7 +223,7 @@ def bench_ingest_overhead(calls, repeats, scratch_dir):
 
 def render(section):
     lines = [
-        "frame-emission overhead (batched fast lane, %d events)"
+        "frame-emission overhead (columnar fast path, %d events)"
         % section["events"],
         "",
         "  bare hook at 1/64 : %8.1f ns/event (baseline)"

@@ -3,11 +3,11 @@
 The continuous profiler's deal is Section 6's: context *collection* is a
 couple of arithmetic ops per call, so leaving the profiler attached in
 production must cost almost nothing.  This benchmark measures the
-batched fast lane (``process_batch`` ns/event, same methodology as
+columnar fast path (``process_columns`` ns/event, same methodology as
 ``bench_to_json.py``) in three configurations:
 
-* sampling **disabled** (no hook installed — the baseline; the guard is
-  one ``is None`` test per applied call);
+* sampling **disabled** (no hook installed — the baseline; the
+  generated kernel has no countdown at all);
 * hook installed at **1/64** (aggressive production rate);
 * hook installed at **1/1024** (background rate).
 
@@ -41,13 +41,14 @@ RESULTS_DIR = os.path.join(REPO_ROOT, "benchmarks", "results")
 
 
 def _steady_workload(calls):
-    """A warmed engine factory + compact record stream (steady state)."""
+    """A warmed engine factory + one column batch (steady state)."""
+    from repro.core.columnar import EventColumns
     from repro.core.engine import DacceEngine
     from repro.program.generator import GeneratorConfig, generate_program
     from repro.program.trace import (
         TraceExecutor,
         WorkloadSpec,
-        run_workload_batched,
+        run_workload_columnar,
     )
 
     program = generate_program(
@@ -62,15 +63,17 @@ def _steady_workload(calls):
         )
     )
     spec = WorkloadSpec(calls=calls, seed=2, sample_period=0)
-    records = list(TraceExecutor(program, spec).compact_events())
+    columns = EventColumns.from_compact(
+        TraceExecutor(program, spec).compact_events()
+    )
 
     def warmed_engine():
         engine = DacceEngine()
-        run_workload_batched(program, spec, engine)
+        run_workload_columnar(program, spec, engine)
         engine.reencode()
         return engine
 
-    return warmed_engine, records
+    return warmed_engine, columns
 
 
 def bench_profile_overhead(calls, repeats):
@@ -81,7 +84,7 @@ def bench_profile_overhead(calls, repeats):
     of inflating (or deflating) the overhead deltas.  Best-of per
     configuration is then a drift-robust paired estimate.
     """
-    warmed_engine, records = _steady_workload(calls)
+    warmed_engine, columns = _steady_workload(calls)
 
     configs = {}
     for every in (0, 64, 1024):
@@ -96,16 +99,16 @@ def bench_profile_overhead(calls, repeats):
     for _ in range(repeats):
         for config in configs.values():
             start = time.perf_counter()
-            config["engine"].process_batch(records)
+            config["engine"].process_columns(columns)
             config["best"] = min(
                 config["best"], time.perf_counter() - start
             )
 
-    baseline_ns = configs[0]["best"] / len(records) * 1e9
+    baseline_ns = configs[0]["best"] / len(columns) * 1e9
     rates = {}
     for every in (64, 1024):
         config = configs[every]
-        ns = config["best"] / len(records) * 1e9
+        ns = config["best"] / len(columns) * 1e9
         rates["1/%d" % every] = {
             "every": every,
             "ns_per_event": round(ns, 1),
@@ -116,7 +119,7 @@ def bench_profile_overhead(calls, repeats):
         }
 
     return {
-        "events": len(records),
+        "events": len(columns),
         "calls": calls,
         "methodology": "interleaved repeats, best-of per configuration",
         "repeats": repeats,
@@ -127,7 +130,7 @@ def bench_profile_overhead(calls, repeats):
 
 def render(section):
     lines = [
-        "sampling-hook overhead (batched fast lane, %d events)"
+        "sampling-hook overhead (columnar fast path, %d events)"
         % section["events"],
         "",
         "  sampling disabled : %8.1f ns/event (baseline)"
@@ -146,10 +149,10 @@ def render(section):
         )
     lines += [
         "",
-        "disabled cost is one `is None` test per applied call; enabled",
+        "disabled, the generated kernel has no countdown at all; enabled",
         "steady-state cost is one countdown decrement per call plus a",
-        "CollectedSample materialisation per period (see",
-        "docs/PROFILING.md for the self-overhead account).",
+        "general-path call and CollectedSample materialisation per period",
+        "(see docs/PROFILING.md for the self-overhead account).",
         "methodology: configurations timed interleaved (paired), best-of",
         "per configuration -- sequential timing lets machine drift",
         "masquerade as hook overhead on a shared single-core container.",

@@ -20,9 +20,8 @@ pass under scheduler jitter, so each term is timed where it has clean
 signal:
 
 * **engine** — median columnar pass wall time, disabled vs enabled
-  (spans fire at pass boundaries — kernel compile, re-encode, deopt
-  storm — never per event, so the steady-state delta is the guard
-  alone);
+  (spans fire at pass boundaries — kernel compile, re-encode — never
+  per event, so the steady-state delta is the guard alone);
 * **emitter** — wall time accumulated inside ``emitter.flush()``
   during real passes, traced vs untraced (the flush opens the root
   span and stamps the ``trace`` fragment into every frame);
@@ -67,12 +66,13 @@ def _median(values):
 
 
 def _steady_workload(calls):
+    from repro.core.columnar import EventColumns
     from repro.core.engine import DacceEngine
     from repro.program.generator import GeneratorConfig, generate_program
     from repro.program.trace import (
         TraceExecutor,
         WorkloadSpec,
-        run_workload_batched,
+        run_workload_columnar,
     )
 
     program = generate_program(
@@ -87,15 +87,17 @@ def _steady_workload(calls):
         )
     )
     spec = WorkloadSpec(calls=calls, seed=2, sample_period=0)
-    records = list(TraceExecutor(program, spec).compact_events())
+    cols = EventColumns.from_compact(
+        TraceExecutor(program, spec).compact_events()
+    )
 
     def warmed_engine(spans=None):
         engine = DacceEngine(spans=spans)
-        run_workload_batched(program, spec, engine)
+        run_workload_columnar(program, spec, engine)
         engine.reencode()
         return engine
 
-    return warmed_engine, records
+    return warmed_engine, cols
 
 
 def _columnar_pass_times(warmed_engine, cols, repeats, spans_factory):
@@ -139,28 +141,28 @@ class _EmitterRig:
         self._timed = timed_flush
         self._inner = inner_flush
 
-    def warm_pass(self, records):
-        self.engine.process_batch(records)
+    def warm_pass(self, cols):
+        self.engine.process_columns(cols)
         self.emitter.flush()  # fills the serialized-entry cache
         return list(self.sink.lines)
 
-    def timed_pass(self, records):
+    def timed_pass(self, cols):
         del self.sink.lines[:]
         self.emitter.flush = self._timed
-        self.engine.process_batch(records)
+        self.engine.process_columns(cols)
         self.emitter.flush()
         self.emitter.flush = self._inner
 
 
-def _emitter_flush_costs(warmed_engine, records, repeats, spans):
+def _emitter_flush_costs(warmed_engine, cols, repeats, spans):
     """Per-pass ``flush()`` cost, untraced vs traced, interleaved."""
     rig_off = _EmitterRig(warmed_engine)
     rig_on = _EmitterRig(warmed_engine, spans=spans)
-    rig_off.warm_pass(records)
-    captured_lines = rig_on.warm_pass(records)
+    rig_off.warm_pass(cols)
+    captured_lines = rig_on.warm_pass(cols)
     for _ in range(repeats):
-        rig_off.timed_pass(records)
-        rig_on.timed_pass(records)
+        rig_off.timed_pass(cols)
+        rig_on.timed_pass(cols)
     rig_off.emitter.detach()
     rig_on.emitter.detach()
     return (
@@ -194,12 +196,10 @@ def _ingest_costs(lines, run_id, repeats):
 
 
 def bench_span_overhead(calls, repeats):
-    from repro.core.columnar import EventColumns
     from repro.obs import SpanRecorder
 
-    warmed_engine, records = _steady_workload(calls)
-    cols = EventColumns.from_compact(records)
-    events = len(records)
+    warmed_engine, cols = _steady_workload(calls)
+    events = len(cols)
 
     # Engine: disabled (twice, for A/A noise) vs enabled, interleaved.
     engines, medians = _columnar_pass_times(
@@ -221,7 +221,7 @@ def bench_span_overhead(calls, repeats):
 
     # Emitter: flush cost per pass, untraced vs traced, interleaved.
     flush_off, flush_on, lines, run_id = _emitter_flush_costs(
-        warmed_engine, records, repeats, SpanRecorder("producer-bench")
+        warmed_engine, cols, repeats, SpanRecorder("producer-bench")
     )
     emitter_delta_ns = max(0.0, flush_on - flush_off) / events * 1e9
 

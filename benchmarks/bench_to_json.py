@@ -4,12 +4,11 @@ Measures the three quantities the hot-path fast lane (PR 4) is judged
 on and writes them to ``BENCH_CORE.json`` at the repo root (plus a
 rendered copy under ``benchmarks/results/``):
 
-* **encode** — ns/event for per-event ``on_event`` dispatch vs batched
-  ``process_batch`` over compact records vs columnar
+* **encode** — ns/event for per-event ``on_event`` dispatch vs columnar
   ``process_columns`` over struct-of-arrays batches through the
-  code-generated dispatch kernel (PR 9), on a steady-state workload
-  (every edge already discovered and encoded), with the fast-path hit
-  rate achieved;
+  code-generated dispatch kernel, on a steady-state workload (every
+  edge already discovered and encoded), with the fast-path hit rate
+  achieved;
 * **decode** — wall-clock throughput for sequential ``decode_log`` vs
   ``decode_log_parallel(jobs=4)`` on a >= 100k-sample log built by
   tiling a real recorded run (profile logs repeat hot contexts, which
@@ -64,14 +63,15 @@ def _best_of(repeats, thunk):
 
 
 def bench_encode(calls, repeats):
-    """Steady-state event-processing: per-event vs batched fast lane."""
+    """Steady-state event-processing: per-event vs columnar kernel."""
+    from repro.core.columnar import EventColumns
     from repro.core.engine import DacceEngine
     from repro.core.events import inflate
     from repro.program.generator import GeneratorConfig, generate_program
     from repro.program.trace import (
         TraceExecutor,
         WorkloadSpec,
-        run_workload_batched,
+        run_workload_columnar,
     )
 
     program = generate_program(
@@ -88,10 +88,11 @@ def bench_encode(calls, repeats):
     spec = WorkloadSpec(calls=calls, seed=2, sample_period=997)
     records = list(TraceExecutor(program, spec).compact_events())
     events = [inflate(record) for record in records]
+    columns = EventColumns.from_compact(records)
 
     def warmed_engine():
         engine = DacceEngine()
-        run_workload_batched(program, spec, engine)
+        run_workload_columnar(program, spec, engine)
         engine.reencode()
         return engine
 
@@ -101,17 +102,8 @@ def bench_encode(calls, repeats):
         lambda: [per_event_engine.on_event(event) for event in events],
     )
 
-    batched_engine = warmed_engine()
-    batched_engine.fastpath.hits = batched_engine.fastpath.misses = 0
-    batched_s = _best_of(
-        repeats, lambda: batched_engine.process_batch(records)
-    )
-
-    from repro.core.columnar import EventColumns
-
     columnar_engine = warmed_engine()
     columnar_engine.fastpath.hits = columnar_engine.fastpath.misses = 0
-    columns = EventColumns.from_compact(records)
     columnar_s = _best_of(
         repeats, lambda: columnar_engine.process_columns(columns)
     )
@@ -120,13 +112,9 @@ def bench_encode(calls, repeats):
         "events": len(records),
         "calls": calls,
         "per_event_ns_per_event": round(per_event_s / len(records) * 1e9, 1),
-        "batched_ns_per_event": round(batched_s / len(records) * 1e9, 1),
         "columnar_ns_per_event": round(columnar_s / len(records) * 1e9, 1),
-        "speedup": round(per_event_s / batched_s, 2),
         "columnar_speedup": round(per_event_s / columnar_s, 2),
-        "fastpath_hit_rate": round(batched_engine.fastpath.hit_rate, 4),
         "columnar_hit_rate": round(columnar_engine.fastpath.hit_rate, 4),
-        "fastpath": batched_engine.fastpath_stats(),
         "columnar_fastpath": columnar_engine.fastpath_stats(),
     }
 
@@ -141,7 +129,7 @@ def bench_decode(target_samples, jobs, repeats):
         load_decoder,
     )
     from repro.program.generator import GeneratorConfig, generate_program
-    from repro.program.trace import WorkloadSpec, run_workload_batched
+    from repro.program.trace import WorkloadSpec, run_workload_columnar
 
     program = generate_program(
         GeneratorConfig(seed=7, functions=40, edges=100, recursive_sites=2)
@@ -150,7 +138,7 @@ def bench_decode(target_samples, jobs, repeats):
         calls=30_000, seed=4, sample_period=7, recursion_affinity=0.3
     )
     engine = DacceEngine()
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     base = engine.samples
     tiles = max(1, (target_samples + len(base) - 1) // len(base))
     samples = base * tiles
@@ -192,16 +180,13 @@ def render(report):
     encode = report["encode"]
     decode = report["decode"]
     lines = [
-        "core-ops benchmark (PR 4 fast lane + PR 9 columnar dispatch)",
+        "core-ops benchmark (columnar dispatch kernel)",
         "",
         "encode (steady state, %d events):" % encode["events"],
         "  per-event dispatch : %8.1f ns/event" % encode["per_event_ns_per_event"],
-        "  process_batch      : %8.1f ns/event  (%.2fx)"
-        % (encode["batched_ns_per_event"], encode["speedup"]),
         "  process_columns    : %8.1f ns/event  (%.2fx, codegen kernel)"
         % (encode["columnar_ns_per_event"], encode["columnar_speedup"]),
-        "  hit rate           : %8.1f%% batched / %.1f%% columnar"
-        % (100 * encode["fastpath_hit_rate"], 100 * encode["columnar_hit_rate"]),
+        "  hit rate           : %8.1f%%" % (100 * encode["columnar_hit_rate"]),
         "",
         "decode (%d samples, %d distinct, jobs=%d requested, %d effective):"
         % (
@@ -228,7 +213,7 @@ def render(report):
 
 #: ``--compare`` regression gate: these encode keys may not grow by
 #: more than this factor relative to the old report.
-_REGRESSION_KEYS = ("batched_ns_per_event", "columnar_ns_per_event")
+_REGRESSION_KEYS = ("columnar_ns_per_event",)
 _REGRESSION_LIMIT = 1.25
 
 

@@ -7,7 +7,7 @@ from .context import CallingContext, CcStackEntry, CollectedSample, ContextStep
 from .decoder import DecodeCache, Decoder, decode_sample
 from .dictionary import DictionaryStore, EdgeInfo, EncodingDictionary
 from .encoder import Encoder, encode_graph, frequency_order, insertion_order
-from .fastpath import FastPathStats, FastPathTable, compile_table
+from .fastpath import FastPathStats
 from .engine import (
     CompressionMode,
     DacceConfig,
@@ -97,7 +97,6 @@ __all__ = [
     "EncodingOverflowError",
     "Event",
     "FastPathStats",
-    "FastPathTable",
     "FaultKind",
     "FaultLog",
     "FaultPolicy",
@@ -127,7 +126,6 @@ __all__ = [
     "assert_sound",
     "check_dictionary",
     "classify_back_edges",
-    "compile_table",
     "decode_log",
     "decode_log_parallel",
     "decode_sample",

@@ -1,9 +1,9 @@
 """Struct-of-arrays event batches for the columnar fast path.
 
-``process_batch`` interprets one Python tuple per event; at steady state
-most of its time goes to tuple allocation and the per-element object
-protocol.  :class:`EventColumns` stores the same compact-event stream as
-six parallel integer columns (``array('q')``/``array('b')``) so the
+Interpreting one Python tuple per event spends most of the engine's
+steady-state time on tuple allocation and the per-element object
+protocol.  :class:`EventColumns` stores the compact-event stream as six
+parallel integer columns (``array('q')``/``array('b')``) so the
 engine's code-generated dispatch kernel (:mod:`repro.core.fastpath`) can
 iterate over raw machine integers via ``memoryview``s — no per-event
 allocation on the hit path.
@@ -198,9 +198,9 @@ class EventColumns:
     def record(self, i: int) -> CompactEvent:
         """Materialise the single compact tuple at index ``i``.
 
-        This is the deoptimisation primitive: the dispatch kernel exits
-        with an index, and only that one event pays tuple allocation on
-        its way to the general path.
+        The general-path primitive: the dispatch kernel hands over an
+        index, and only that one event pays tuple allocation on its way
+        to ``DacceEngine.on_event``.
         """
         if not 0 <= i < self._n:
             raise IndexError("event index %d out of range" % (i,))

@@ -77,12 +77,9 @@ from .encoder import EdgeOrderPolicy, Encoder, frequency_order, insertion_order
 from .errors import DacceError, ReencodeError, TraceError
 from .decoder import DecodeCache, Decoder
 from .events import (
-    EV_CALL,
-    EV_RETURN,
     CallEvent,
     CallKind,
     CallSiteId,
-    CompactEvent,
     Event,
     FunctionId,
     LibraryLoadEvent,
@@ -96,14 +93,12 @@ from .events import (
 from .columnar import EventColumns
 from .faults import FaultKind, FaultLog, FaultPolicy, FaultRecord, RecoveryAction
 from .fastpath import (
-    KERNEL_DEOPT,
-    KERNEL_DONE,
+    KERNEL_MISS,
     KERNEL_SAMPLE,
+    KERNEL_TRIGGER,
     ColumnarKernel,
     FastPathStats,
-    FastPathTable,
     compile_columnar_kernel,
-    compile_table,
 )
 from .indirect import DEFAULT_HASH_THRESHOLD, IndirectDispatchTable
 from .invariants import check_dictionary
@@ -278,11 +273,12 @@ class SampleHook:
     sample weighs its period in calls, so total weight tracks total
     calls regardless of the sampling rate.
 
-    The disabled cost is a single ``is None`` test per call on both the
-    general and the batched fast path; the enabled steady-state cost on
-    the batched paths is one *local* integer decrement per call — the
-    countdown is mirrored into a loop register and written back at
-    flush boundaries, so the hot loop never touches this object
+    The disabled cost is a single ``is None`` test per call on the
+    general path and nothing in the generated kernel (the countdown is
+    compiled out); the enabled steady-state cost in the kernel is one
+    *local* integer decrement per call — the countdown is mirrored into
+    a kernel local and written back before every general-path call, so
+    the hot loop never touches this object
     (``benchmarks/bench_profile_overhead.py`` measures both).
     """
 
@@ -409,22 +405,20 @@ class DacceEngine:
             ],
         )
         # Fast-path specialisation state (docs/PERFORMANCE.md).  The
-        # compiled dispatch table is built lazily on the first batch and
-        # re-built whenever its (dictionary identity, tail-set size)
-        # pins go stale.  Subclasses that override any handler the batch
-        # loop bypasses (``GlobalIdEngine`` replaces on_call/on_return
-        # wholesale) are detected here and transparently deoptimised to
-        # per-event dispatch — behaviour first, speed second.
-        self._fastpath: Optional[FastPathTable] = None
+        # code-generated dispatch kernel (process_columns) is compiled
+        # lazily on the first batch and re-compiled whenever its epoch
+        # goes stale: the dictionary object, the tail-caller set size,
+        # warm-start seeding, sampling hook presence and the adaptive
+        # check interval are all compiled into it.  Subclasses that
+        # override any handler the kernel bypasses (``GlobalIdEngine``
+        # replaces on_call/on_return wholesale) are detected here and
+        # transparently deoptimised to per-event dispatch — behaviour
+        # first, speed second.
         self.fastpath = FastPathStats()
-        # Code-generated columnar dispatch kernel (process_columns):
-        # pinned to a table *and* an engine shape — warm-start seeding,
-        # sampling hook presence and the adaptive check interval are
-        # compiled into the generated source, so any of them changing
-        # forces a re-``exec``.
         self._columnar_kernel: Optional[ColumnarKernel] = None
-        self._columnar_kernel_table: Optional[FastPathTable] = None
-        self._columnar_kernel_shape: Optional[Tuple[bool, bool, int]] = None
+        self._kernel_dictionary: Optional[EncodingDictionary] = None
+        self._kernel_shape: Optional[Tuple[int, bool, bool, int]] = None
+        self._kernel_entries = 0
         cls = type(self)
         self._fastpath_enabled = (
             cls.on_call is DacceEngine.on_call
@@ -525,9 +519,8 @@ class DacceEngine:
         )
         self._c_fastpath = registry.counter(
             "fastpath_total",
-            "Batched fast-path specialisation outcomes (hit = handled "
-            "by the compiled table, miss = deoptimised to the general "
-            "path).",
+            "Columnar fast-path outcomes (hit = handled by the "
+            "generated kernel, miss = taken through the general path).",
             labelnames=("result",),
         )
         self._c_decode_cache = registry.counter(
@@ -635,246 +628,30 @@ class DacceEngine:
             )
 
     # ------------------------------------------------------------------
-    # batched fast-path processing
-    # ------------------------------------------------------------------
-    def process_batch(self, records: Iterable[CompactEvent]) -> None:
-        """Process a stream of compact event tuples through the fast lane.
-
-        The steady-state case — a NORMAL call over an edge the current
-        dictionary encodes, and the matching return — is handled by one
-        dict probe plus one integer add against the compiled
-        :class:`~repro.core.fastpath.FastPathTable`, with statistics,
-        window counters, cost charges and telemetry folded into
-        per-batch flushes.  Everything else (unencoded or back edges,
-        indirect/tail/PLT calls, samples, thread events, malformed
-        events under the recover policy) *deoptimises*: the tuple is
-        inflated to its dataclass form and dispatched through
-        :meth:`on_event`, so the general path — including fault
-        quarantine, warm-start accounting and adaptive re-encoding —
-        behaves exactly as in per-event processing.
-
-        Folded counters are flushed before every deoptimisation and
-        before every adaptive trigger check, so anything the general
-        path observes (``stats.calls`` in fault records, window
-        evidence in trigger decisions, re-encoding pass reports) sees
-        the same values as per-event processing.  The differential
-        property suite (``tests/core/test_fastpath_property.py``)
-        asserts byte-identical end states.
-        """
-        if not self._fastpath_enabled:
-            # Subclass overrides a bypassed handler: per-event dispatch.
-            on_event = self.on_event
-            for record in records:
-                on_event(inflate(record))
-            return
-
-        table = self._ensure_fastpath()
-        entries = table.entries
-        stats = self.stats
-        cost = self.cost
-        threads = self._threads
-        interval = self.config.adaptive.check_interval
-        obs = self._obs
-        m_calls_normal = self._m_calls[CallKind.NORMAL] if obs else None
-        m_returns = self._m_returns if obs else None
-        warm = self._warm
-        action_id = _Action.ID
-        action_none = _Action.NONE
-        prof = self._prof
-        # The sampling countdown runs in a loop register; the hook
-        # attribute is only synchronised at flush boundaries (fire,
-        # deopt, trigger, batch end) so the hot loop stays free of
-        # attribute writes.
-        pcount = prof.countdown if prof is not None else 0
-        self.fastpath.batches += 1
-
-        # Folded per-batch counters; flushed through ``flush`` below.
-        pending_calls = 0
-        pending_returns = 0
-        pending_id_updates = 0
-        pending_tcstack = 0
-        hits = 0
-        misses = 0
-
-        def flush() -> None:
-            # The charges are exact under folding: the cost parameters
-            # involved (baseline 150.0, id_update 1.5, tcstack 5.0) are
-            # dyadic rationals, so ``n`` separate float adds and one
-            # ``n *`` multiply produce bit-identical sums.
-            nonlocal pending_calls, pending_returns
-            nonlocal pending_id_updates, pending_tcstack
-            if pending_calls:
-                stats.calls += pending_calls
-                self._window.calls += pending_calls
-                cost.charge_call_baseline(pending_calls)
-                if m_calls_normal is not None:
-                    m_calls_normal.inc(pending_calls)
-                pending_calls = 0
-            if pending_returns:
-                stats.returns += pending_returns
-                if m_returns is not None:
-                    m_returns.inc(pending_returns)
-                pending_returns = 0
-            if pending_id_updates:
-                cost.charge_id_update(pending_id_updates)
-                pending_id_updates = 0
-            if pending_tcstack:
-                cost.charge_tcstack(pending_tcstack)
-                pending_tcstack = 0
-
-        try:
-            for record in records:
-                op = record[0]
-                if op == EV_CALL:
-                    if record[5] == 0:  # CallKind.NORMAL
-                        entry = entries.get((record[2], record[4]))
-                        if entry is not None:
-                            state = threads.get(record[1])
-                            if (
-                                state is not None
-                                and state.frames[-1].function == record[3]
-                            ):
-                                delta, edge, tail_callee = entry
-                                if not edge.invocations and warm and edge.seeded:
-                                    # First hit on a seeded edge: the
-                                    # handler call cold-start DACCE
-                                    # would have paid (PR 3 stat).
-                                    stats.warmstart_handler_hits_avoided += 1
-                                edge.invocations += 1
-                                restore_id = state.id_value
-                                if delta:
-                                    state.id_value = restore_id + delta
-                                    pending_id_updates += 1
-                                    action = action_id
-                                else:
-                                    action = action_none
-                                if tail_callee:
-                                    pending_tcstack += 1
-                                state.frames.append(
-                                    _Frame(
-                                        function=record[4],
-                                        callsite=record[2],
-                                        restore_id=restore_id,
-                                        cc_state=state.ccstack.saved_state(),
-                                        action=action,
-                                    )
-                                )
-                                pending_calls += 1
-                                hits += 1
-                                if prof is not None:
-                                    pcount -= 1
-                                    if pcount <= 0:
-                                        # Flush first: the callback may
-                                        # read engine statistics, which
-                                        # must match per-event state.
-                                        pcount = prof.every
-                                        prof.countdown = pcount
-                                        flush()
-                                        self._fire_profile_sample(
-                                            prof, record[1]
-                                        )
-                                        pcount = prof.countdown
-                                continue
-                elif op == EV_RETURN:
-                    state = threads.get(record[1])
-                    if state is not None:
-                        frames = state.frames
-                        if len(frames) > 1:
-                            frame = frames[-1]
-                            action = frame.action
-                            if (
-                                action is action_none or action is action_id
-                            ) and not frame.chain:
-                                frames.pop()
-                                if action is action_id:
-                                    pending_id_updates += 1
-                                state.id_value = frame.restore_id
-                                pending_returns += 1
-                                hits += 1
-                                # The general path evaluates adaptive
-                                # triggers after every return; with the
-                                # window flushed this fires at exactly
-                                # the same event positions.
-                                if self._window.calls + pending_calls >= interval:
-                                    flush()
-                                    if prof is not None:
-                                        prof.countdown = pcount
-                                    self._maybe_check_triggers()
-                                    if prof is not None:
-                                        pcount = prof.countdown
-                                    if not table.valid_for(
-                                        self._current,
-                                        len(self._tail_calling_functions),
-                                    ):
-                                        table = self._ensure_fastpath()
-                                        entries = table.entries
-                                continue
-
-                # Deoptimise: flush folded state, take the general path,
-                # then revalidate the table (the event may have
-                # re-encoded, discovered a tail caller, or rolled back).
-                misses += 1
-                flush()
-                if prof is not None:
-                    # The general path decrements the hook's own
-                    # countdown; keep the register coherent across it.
-                    prof.countdown = pcount
-                self.on_event(inflate(record))
-                if prof is not None:
-                    pcount = prof.countdown
-                if not table.valid_for(
-                    self._current, len(self._tail_calling_functions)
-                ):
-                    table = self._ensure_fastpath()
-                    entries = table.entries
-        finally:
-            flush()
-            if prof is not None:
-                prof.countdown = pcount
-            self.fastpath.hits += hits
-            self.fastpath.misses += misses
-
-    def _ensure_fastpath(self) -> FastPathTable:
-        """The compiled dispatch table for the current engine state."""
-        table = self._fastpath
-        if table is None or not table.valid_for(
-            self._current, len(self._tail_calling_functions)
-        ):
-            table = compile_table(
-                self.graph, self._current, self._tail_calling_functions
-            )
-            self._fastpath = table
-            self.fastpath.compiles += 1
-        return table
-
-    # ------------------------------------------------------------------
     # columnar fast-path processing (code-generated dispatch)
     # ------------------------------------------------------------------
     def process_columns(self, cols: EventColumns) -> None:
         """Process a struct-of-arrays batch through a generated kernel.
 
-        Equivalent to :meth:`process_batch` over ``cols.to_compact()``
-        — same statistics, cost charges, sample positions, adaptive
+        Equivalent to :meth:`on_event` over every record of ``cols`` —
+        same statistics, cost charges, sample positions, adaptive
         trigger points and fault behaviour (the differential property
         suite pins byte-identical end states) — but the steady state
         runs inside a dispatch function ``exec``-ed per encoding epoch
         (:func:`repro.core.fastpath.compile_columnar_kernel`), whose
         inner loop iterates raw integer columns with one dict probe and
-        one integer add per hot event.  Any event the kernel cannot
-        prove cheap exits the kernel, materialises that single compact
-        tuple (``cols.record(i)``) and takes the existing general path;
-        processing then re-enters the kernel at the next index.
+        one integer add per hot event.
 
-        Deopt storms (cold-start discovery, adversarial streams) would
-        pay a kernel re-entry — view slicing, prologue, counter flush —
-        per miss.  When a deopt arrives after a short hit run the
-        driver assumes it is in such a storm and routes a fixed window
-        of events through :meth:`process_batch` (whose inline probe
-        costs a fraction of a kernel re-entry per event) before
-        re-arming the kernel; ``process_batch`` is itself proven
-        equivalent to per-event dispatch, so the end state is
-        unchanged (only batch/hit telemetry differs, which the
-        differential suite explicitly excludes).
+        Every other event takes the general path from inside the
+        kernel's loop: the kernel hands its folded counters to
+        ``general`` below, which flushes them through
+        :meth:`_flush_fastpath_counters` and dispatches the single
+        event (``cols.record(i)``) through :meth:`on_event`; a due
+        sample and a filled adaptive window go the same way.  The
+        kernel returns early only when that work changed the encoding
+        epoch (a new dictionary object, a grown tail-caller set, or a
+        sampling hook installed or removed); this method then compiles
+        the next epoch's kernel and resumes at the following event.
         """
         if not self._fastpath_enabled:
             # Subclass overrides a bypassed handler: per-event dispatch.
@@ -882,81 +659,52 @@ class DacceEngine:
             for record in cols.iter_compact():
                 on_event(inflate(record))
             return
-        n = len(cols)
-        if not n:
+        if not len(cols):
             return
         fp = self.fastpath
         fp.batches += 1
-        kernel = self._ensure_columnar_kernel()
+        record = cols.record
+        thread_col = cols.thread
+        on_event = self.on_event
+        flush = self._flush_fastpath_counters
+
+        def general(
+            why: int, i: int, calls: int, returns: int, ids: int, tc: int
+        ) -> int:
+            flush(calls, returns, ids, tc)
+            if why == KERNEL_MISS:
+                fp.misses += 1
+                on_event(inflate(record(i)))
+            elif why == KERNEL_SAMPLE:
+                assert prof is not None  # only profiled kernels sample
+                prof.countdown = prof.every
+                self._fire_profile_sample(prof, thread_col[i])
+            elif why == KERNEL_TRIGGER:
+                self._maybe_check_triggers()
+            if (
+                self._current is not current
+                or self._prof is not prof
+                or len(self._tail_calling_functions) != tails
+            ):
+                return -1
+            # Trigger checks replace the window: always re-read it.
+            return self._window.calls
+
         views = cols.views()
         start = 0
-        # Storm heuristic: a deopt after fewer than STORM_RUN fast-path
-        # events triggers STORM_WINDOW general-path events.
-        storm_run = 8
-        storm_window = 64
         try:
-            while start < n:
-                entered_at = start
+            while start >= 0:
+                kernel = self._ensure_columnar_kernel()
+                # The epoch this kernel was compiled for; ``general``
+                # checks it by identity after every call.
+                current = self._current
+                tails = len(self._tail_calling_functions)
                 prof = self._prof
-                (
-                    start,
-                    reason,
-                    thread,
-                    calls,
-                    returns,
-                    id_updates,
-                    tcstack,
-                    hits,
-                    pcount,
-                ) = kernel(
-                    views,
-                    start,
-                    self._threads,
-                    prof.countdown if prof is not None else 0,
-                    self._window.calls,
+                start, hits = kernel(
+                    views, start, self._threads, prof, self._window.calls,
+                    general,
                 )
-                # Flush the folded counters before any general-path
-                # work, exactly as ``process_batch`` does: everything
-                # the general path (or a sample callback) observes must
-                # match per-event state.
                 fp.hits += hits
-                self._flush_fastpath_counters(
-                    calls, returns, id_updates, tcstack
-                )
-                if prof is not None:
-                    prof.countdown = pcount
-                if reason == KERNEL_DONE:
-                    break
-                if reason == KERNEL_SAMPLE:
-                    if prof is not None:
-                        prof.countdown = prof.every
-                        self._fire_profile_sample(prof, thread)
-                elif reason == KERNEL_DEOPT:
-                    fp.misses += 1
-                    self.on_event(inflate(cols.record(start)))
-                    start += 1
-                    if start - entered_at <= storm_run:
-                        stop = min(n, start + storm_window)
-                        record = cols.record
-                        if self.spans.enabled:
-                            with self.spans.span(
-                                "engine.deopt_storm",
-                                stage="engine",
-                                events=stop - start,
-                                at=start,
-                            ):
-                                self.process_batch(
-                                    [record(i) for i in range(start, stop)]
-                                )
-                        else:
-                            self.process_batch(
-                                [record(i) for i in range(start, stop)]
-                            )
-                        start = stop
-                    kernel = self._ensure_columnar_kernel()
-                else:  # KERNEL_TRIGGER: adaptive window filled
-                    self._maybe_check_triggers()
-                    kernel = self._ensure_columnar_kernel()
         finally:
             for view in views:
                 view.release()
@@ -966,9 +714,9 @@ class DacceEngine:
     ) -> None:
         """Fold per-run kernel counters into engine state.
 
-        Mirrors ``process_batch``'s ``flush`` closure; the charges are
-        exact under folding because the cost parameters involved are
-        dyadic rationals (``n`` float adds ≡ one ``n *`` multiply).
+        The charges are exact under folding because the cost parameters
+        involved (baseline 150.0, id_update 1.5, tcstack 5.0) are dyadic
+        rationals (``n`` float adds ≡ one ``n *`` multiply).
         """
         obs = self._obs
         if calls:
@@ -989,14 +737,16 @@ class DacceEngine:
     def _ensure_columnar_kernel(self) -> ColumnarKernel:
         """The generated dispatch kernel for the current engine epoch.
 
-        Recompiled whenever the fast-path table goes stale (re-encoding
-        commit or rollback, tail-set growth) *or* the compiled-in shape
-        changes: warm-start accounting and the sampling countdown exist
-        in the generated source only while those features are live, and
-        the adaptive check interval is inlined as a literal.
+        Recompiled whenever the dictionary object changes (re-encoding
+        commit or rollback), the tail-caller set grows, *or* the
+        compiled-in shape changes: warm-start accounting and the
+        sampling countdown exist in the generated source only while
+        those features are live, and the adaptive check interval is
+        inlined as a literal.
         """
-        table = self._ensure_fastpath()
+        dictionary = self._current
         shape = (
+            len(self._tail_calling_functions),
             bool(self._warm),
             self._prof is not None,
             self.config.adaptive.check_interval,
@@ -1004,44 +754,37 @@ class DacceEngine:
         kernel = self._columnar_kernel
         if (
             kernel is None
-            or self._columnar_kernel_table is not table
-            or self._columnar_kernel_shape != shape
+            or self._kernel_dictionary is not dictionary
+            or self._kernel_shape != shape
         ):
-            compile_span = (
-                self.spans.span(
-                    "engine.kernel_compile",
-                    stage="engine",
+            with self.spans.span(
+                "engine.kernel_compile", stage="engine", gts=self._timestamp
+            ) as span:
+                kernel, self._kernel_entries = compile_columnar_kernel(
+                    self.graph,
+                    dictionary,
+                    self._tail_calling_functions,
                     gts=self._timestamp,
-                    entries=len(table),
+                    frame_factory=_Frame,
+                    action_none=_Action.NONE,
+                    action_id=_Action.ID,
+                    stats=self.stats,
+                    warm=shape[1],
+                    profiled=shape[2],
+                    interval=shape[3],
                 )
-                if self.spans.enabled
-                else None
-            )
-            kernel = compile_columnar_kernel(
-                table,
-                gts=self._timestamp,
-                frame_factory=_Frame,
-                action_none=_Action.NONE,
-                action_id=_Action.ID,
-                stats=self.stats,
-                warm=shape[0],
-                profiled=shape[1],
-                interval=shape[2],
-            )
-            if compile_span is not None:
-                compile_span.__exit__(None, None, None)
+                span.set(entries=self._kernel_entries)
             self._columnar_kernel = kernel
-            self._columnar_kernel_table = table
-            self._columnar_kernel_shape = shape
+            self._kernel_dictionary = dictionary
+            self._kernel_shape = shape
+            self.fastpath.compiles += 1
         return kernel
 
     def fastpath_stats(self) -> Dict[str, object]:
         """Fast-path specialisation counters (plus table shape)."""
         snapshot = self.fastpath.to_dict()
         snapshot["enabled"] = self._fastpath_enabled
-        snapshot["table_entries"] = (
-            len(self._fastpath) if self._fastpath is not None else 0
-        )
+        snapshot["table_entries"] = self._kernel_entries
         return snapshot
 
     # ------------------------------------------------------------------
@@ -1293,7 +1036,7 @@ class DacceEngine:
 
         Every ``every``-th applied call delivers a compact
         :class:`CollectedSample` plus a weight to ``callback`` — on both
-        the general and the batched fast path, at identical event
+        the general path and the generated kernel, at identical event
         positions.  Hook samples are charged to the cost model's
         ``sample`` (CLIENT) category and counted in
         ``stats.profile_samples``; they are *not* appended to

@@ -1,48 +1,48 @@
-"""Compiled fast-path dispatch tables for the steady state.
+"""Code-generated dispatch kernel for the steady state.
 
 The paper's central trick is that a call over an already-encoded edge
 costs almost nothing — the hottest in-edge gets encoding 0, i.e. *no
-instrumentation at all* (Sections 3-4).  The reproduction mirrors that
-at the interpreter level: :class:`FastPathTable` is a flat dictionary
-compiled from the current decoding dictionary that lets
-``DacceEngine.process_batch`` handle a run of encoded NORMAL calls and
-their returns with one dict probe and one integer add each — no
-dataclass unpacking, no handler/fault/telemetry branches.
+instrumentation at all* (Sections 3-4) — and every other call goes to
+one runtime handler.  The reproduction mirrors that at the interpreter
+level: ``DacceEngine.process_columns`` runs struct-of-arrays batches
+(:mod:`repro.core.columnar`) through a dispatch function ``exec``-ed
+per encoding epoch, whose inner loop handles a run of encoded NORMAL
+calls and their returns with one dict probe and one integer add each,
+and hands every other event to the engine's general path
+(``DacceEngine.on_event``) from inside the same loop.
 
-The table is a pure *specialisation cache*: every entry restates what
-the general path would compute for that edge under the current
-``gTimeStamp``.  Anything the table cannot prove cheap (an unencoded or
+The kernel's entry dict is a pure *specialisation cache*: every entry
+restates what the general path would compute for that edge under the
+current ``gTimeStamp``.  Anything it cannot prove cheap (an unencoded or
 back edge, an indirect/tail/PLT call, a sample, a thread event, a
-fault-policy recovery) misses and deoptimises to the existing general
-path, so behaviour is identical and only speed changes.
+fault-policy recovery) takes the general path, so behaviour is
+identical and only speed changes.
 
-Invalidation is by identity: a table is valid exactly while the engine's
-current dictionary is the *object* it was compiled from and the
-tail-caller set has not grown.  Re-encoding replaces the dictionary
-object (and a rolled-back pass restores the previous object, for which
-the previous table is still exact), so transactional re-encoding and
-warm-start seeding (PR 2/PR 3) need no extra hooks.
+A kernel is valid exactly while the engine's current dictionary is the
+*object* it was compiled from, the tail-caller set has not grown and
+the sampling hook is the one it was entered with.  Re-encoding replaces
+the dictionary object (and a rolled-back pass restores the previous
+object, for which the previous kernel is still exact), so transactional
+re-encoding and warm-start seeding need no extra hooks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple, cast
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Dict, Tuple, cast
 
 from .events import CallKind, CallSiteId, FunctionId
 
 if TYPE_CHECKING:
-    from .callgraph import CallEdge
+    from .callgraph import CallEdge, CallGraph
     from .dictionary import EncodingDictionary
 
 #: ``(callsite, callee) -> (encoding delta, edge, callee tail-calls?)``.
 #:
-#: The issue sketches the key as ``(thread_kind, callsite)``; the
-#: reproduction keys on ``(callsite, callee)`` instead because a call
-#: site is not guaranteed monomorphic (the Python tracer maps dynamic
-#: dispatch onto NORMAL calls), and the encoding is a per-target
-#: property.  The per-thread running-id register lives in the engine's
-#: ``_ThreadState.id_value``, which the batch loop mutates directly.
+#: Keyed on ``(callsite, callee)`` rather than the call site alone
+#: because a call site is not guaranteed monomorphic (the Python tracer
+#: maps dynamic dispatch onto NORMAL calls), and the encoding is a
+#: per-target property.
 FastPathEntry = Tuple[int, "CallEdge", bool]
 FastPathKey = Tuple[CallSiteId, FunctionId]
 
@@ -77,64 +77,28 @@ class FastPathStats:
         }
 
 
-class FastPathTable:
-    """One compiled dispatch table, pinned to a dictionary snapshot.
+def _dispatch_entries(
+    graph: "CallGraph",
+    dictionary: "EncodingDictionary",
+    tail_calling_functions: AbstractSet[FunctionId],
+) -> Dict[FastPathKey, FastPathEntry]:
+    """The kernel's entry dict for one dictionary snapshot.
 
-    ``entries`` maps every encoded, non-back NORMAL edge of the source
-    dictionary to ``(delta, edge, callee_tail_calls)``:
+    Maps every encoded, non-back NORMAL edge to ``(delta, edge,
+    callee_tail_calls)``:
 
     * ``delta`` — the edge's encoding (``id += delta``; 0 for the
       hottest in-edge, matching the paper's zero-instrumentation case),
     * ``edge`` — the live :class:`~repro.core.callgraph.CallEdge`, so
-      the batch loop can bump ``invocations`` (the adaptive policy's
+      the kernel can bump ``invocations`` (the adaptive policy's
       frequency signal) without a graph lookup,
     * ``callee_tail_calls`` — whether the callee is a known tail-caller,
       i.e. the caller-side TcStack save of Figure 7 must be charged.
 
-    Seeded edges that have never been invoked are compiled in as well;
-    the batch loop credits ``warmstart_handler_hits_avoided`` on their
-    first hit exactly as the general path would.
-    """
-
-    __slots__ = ("entries", "dictionary", "tail_set_size")
-
-    def __init__(
-        self,
-        entries: Dict[FastPathKey, FastPathEntry],
-        dictionary: "EncodingDictionary",
-        tail_set_size: int,
-    ):
-        self.entries = entries
-        self.dictionary = dictionary
-        self.tail_set_size = tail_set_size
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def valid_for(
-        self, dictionary: "EncodingDictionary", tail_set_size: int
-    ) -> bool:
-        """Is this table still exact for the engine's current state?
-
-        Identity on the dictionary object covers both directions of the
-        re-encoding transaction: a committed pass installs a new object
-        (stale), a rolled-back pass restores the old object (this table
-        is exact again).  The tail-caller set only grows, and growth
-        flips the TcStack charge of affected callees, so its size is the
-        second validity dimension.
-        """
-        return (
-            dictionary is self.dictionary
-            and tail_set_size == self.tail_set_size
-        )
-
-
-def compile_table(graph, dictionary, tail_calling_functions) -> FastPathTable:
-    """Compile the fast-path table for one dictionary snapshot.
-
-    O(edges) — the same order as one re-encoding pass, and compiled at
-    most once per (dictionary, tail-set) state, so compilation cost is
-    bounded by the adaptive machinery that triggered it.
+    Seeded edges that have never been invoked are included as well; the
+    kernel credits ``warmstart_handler_hits_avoided`` on their first hit
+    exactly as the general path would.  O(edges) — the same order as one
+    re-encoding pass.
     """
     entries: Dict[FastPathKey, FastPathEntry] = {}
     for edge in graph.edges():
@@ -148,83 +112,78 @@ def compile_table(graph, dictionary, tail_calling_functions) -> FastPathTable:
             edge,
             edge.callee in tail_calling_functions,
         )
-    return FastPathTable(entries, dictionary, len(tail_calling_functions))
+    return entries
 
 
 # ----------------------------------------------------------------------
 # code-generated columnar dispatch
 # ----------------------------------------------------------------------
-# ``DacceEngine.process_columns`` drives struct-of-arrays batches
-# (:mod:`repro.core.columnar`) through a *code-generated* kernel: each
-# time a :class:`FastPathTable` is compiled, the engine ``exec``s a
-# specialised dispatch function with the table's entry dict bound as a
-# closure constant and the current engine shape (warm-start seeding
-# present?  sampling hook installed?  adaptive check interval) compiled
-# directly into the source — branches for absent features do not exist
-# in the generated bytecode.  The per-thread id register, the logical
+# Each kernel is ``exec``-ed with its entry dict bound as a closure
+# constant and the current engine shape (warm-start seeding present?
+# sampling hook installed?  adaptive check interval) compiled directly
+# into the source — branches for absent features do not exist in the
+# generated bytecode.  The per-thread id register, the logical
 # top-of-stack function and the sampling countdown live in interpreter
 # locals, so the steady-state inner loop is one dict probe plus one
 # integer add over raw integer columns.
 #
 # Frames for hot calls are *deferred*: the kernel pushes lightweight
-# scratch tuples and only materialises real ``_Frame`` objects when it
-# exits (deopt, sample, trigger, thread switch, end of batch).  This is
-# sound because nothing observes ``state.frames`` between hot events,
-# the ccStack never mutates on the hit path (so one ``saved_state()``
-# per thread-activation is exact for every deferred frame), and a
-# call/return pair wholly inside one kernel run never needs its frame
+# scratch tuples and only materialises real ``_Frame`` objects before
+# anything else can observe the thread (a thread switch, a call into
+# ``general``, the end of the batch).  This is sound because nothing
+# observes ``state.frames`` between hot events, the ccStack never
+# mutates on the hit path (so one ``saved_state()`` per
+# thread-activation is exact for every deferred frame), and a
+# call/return pair wholly inside one run of hits never needs its frame
 # at all.
 #
-# Exit protocol: the kernel returns
-# ``(consumed, reason, thread, calls, returns, id_updates, tcstack,
-# hits, countdown)`` after materialising scratch frames and writing the
-# id register back.  ``consumed`` is the index at which processing
-# should resume; ``reason`` is one of the ``KERNEL_*`` codes below.
+# General-path protocol: on an event it cannot fast-path (or a sample
+# due, or an adaptive window filled) the kernel writes its scratch
+# frames and id register back, syncs the sampling countdown and calls
+# ``general(why, i, calls, returns, id_updates, tcstack)`` with its
+# folded counters.  ``general`` folds them into the engine, does the
+# work ``why`` names, and returns the adaptive window's call count — or
+# -1 when the encoding epoch changed, in which case the kernel returns
+# ``(i + 1, hits)`` so the engine can compile the next epoch's kernel
+# and resume there.  A kernel that reaches the end of its batch calls
+# ``general(KERNEL_FLUSH, ...)`` once and returns ``(-1, hits)``.
 
-#: Exit reasons of a generated kernel run.
-KERNEL_DONE = 0  #: every event consumed
-KERNEL_DEOPT = 1  #: event at ``consumed`` needs the general path
-KERNEL_SAMPLE = 2  #: sampling countdown hit zero after a call
-KERNEL_TRIGGER = 3  #: adaptive window filled after a return
+#: Why a generated kernel calls ``general`` (the template below spells
+#: these as literals).
+KERNEL_FLUSH = 0  #: end of batch: fold the counters, nothing else
+KERNEL_MISS = 1  #: the event at ``i`` needs the general path
+KERNEL_SAMPLE = 2  #: sampling countdown hit zero after the call at ``i``
+KERNEL_TRIGGER = 3  #: adaptive window filled after the return at ``i``
 
-#: ``kernel(views, start, threads, countdown, window_calls)`` →
-#: ``(consumed, reason, thread, calls, returns, id_updates, tcstack,
-#: hits, countdown)``.
+#: ``kernel(views, start, threads, prof, window_calls, general)`` →
+#: ``(resume index or -1 when the batch is done, hits)``.
 ColumnarKernel = Callable[
-    [Tuple[Any, ...], int, Dict[int, Any], int, int], Tuple[int, ...]
+    [Tuple[Any, ...], int, Dict[int, Any], Any, int, Callable[..., int]],
+    Tuple[int, int],
 ]
 
-_SWITCH_BLOCK = """\
-{i}ns = threads_get(et)
-{i}if ns is None:
-{i}    reason = 1
-{i}    break
-{i}if state is not None:
-{i}    if scratch:
-{i}        for sf in scratch:
-{i}            frames_append(_frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
-{i}        del scratch[:]
-{i}    state.id_value = cur_id
-{i}cur_t = et
-{i}state = ns
-{i}frames = ns.frames
-{i}frames_append = frames.append
-{i}cur_id = ns.id_value
-{i}top_fn = frames[-1].function
-{i}cc_state = ns.ccstack.saved_state()"""
+_WRITEBACK_BLOCK = """\
+{i}if scratch:
+{i}    for sf in scratch:
+{i}        frames_append(_frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
+{i}    del scratch[:]
+{i}state.id_value = cur_id"""
 
 _WARM_BLOCK = """\
                     if not edge.invocations and edge.seeded:
                         _stats.warmstart_handler_hits_avoided += 1"""
 
-_PROF_BLOCK = """\
+_HIT_CALL_END = """\
+                    continue"""
+
+_PROF_HIT_CALL_END = """\
                     pcount -= 1
-                    if pcount <= 0:
-                        reason = 2
-                        break"""
+                    if pcount > 0:
+                        continue
+                    why = 2"""
 
 _KERNEL_TEMPLATE = """\
-def {name}(views, start, threads_map, pcount, wcalls):
+def {name}(views, start, threads_map, prof, wcalls, general):
     ops, tcol, cscol, crcol, cecol, kcol = views
     if start:
         ops = ops[start:]
@@ -250,14 +209,27 @@ def {name}(views, start, threads_map, pcount, wcalls):
     pend_id = 0
     pend_tc = 0
     hits = 0
-    reason = 0
+    pcount = {pcount}
+    why = 1
     i = start - 1
     for op, et, cs, cr, ce, ek in zip(ops, tcol, cscol, crcol, cecol, kcol):
         i += 1
+        if et != cur_t:
+            ns = threads_get(et)
+            if ns is None:
+                op = -1  # unknown thread: straight to the general path
+            else:
+                if state is not None:
+{writeback_switch}
+                cur_t = et
+                state = ns
+                frames = ns.frames
+                frames_append = frames.append
+                cur_id = ns.id_value
+                top_fn = frames[-1].function
+                cc_state = ns.ccstack.saved_state()
         if op == 0:
             if ek == 0:
-                if et != cur_t:
-{switch_call}
                 entry = entries_get((cs, ce))
                 if entry is not None and top_fn == cr:
                     edge = entry[1]
@@ -275,13 +247,8 @@ def {name}(views, start, threads_map, pcount, wcalls):
                     top_fn = ce
                     pend_calls += 1
                     hits += 1
-{prof_block}
-                    continue
-            reason = 1
-            break
+{hit_call_end}
         elif op == 1:
-            if et != cur_t:
-{switch_ret}
             if scratch:
                 sf = scratch_pop()
                 cur_id = sf[2]
@@ -290,11 +257,10 @@ def {name}(views, start, threads_map, pcount, wcalls):
                 pend_rets += 1
                 hits += 1
                 top_fn = scratch[-1][0] if scratch else frames[-1].function
-                if wcalls + pend_calls >= {interval}:
-                    reason = 3
-                    break
-                continue
-            if len(frames) > 1:
+                if wcalls + pend_calls < {interval}:
+                    continue
+                why = 3
+            elif len(frames) > 1:
                 frame = frames[-1]
                 act = frame.action
                 if (act is _act_none or act is _act_id) and not frame.chain:
@@ -305,40 +271,36 @@ def {name}(views, start, threads_map, pcount, wcalls):
                     pend_rets += 1
                     hits += 1
                     top_fn = frames[-1].function
-                    if wcalls + pend_calls >= {interval}:
-                        reason = 3
-                        break
-                    continue
-            reason = 1
-            break
-        else:
-            reason = 1
-            break
+                    if wcalls + pend_calls < {interval}:
+                        continue
+                    why = 3
+        # General path: hand the engine exact state first.
+        if state is not None:
+{writeback_general}
+            state = None
+            cur_t = -1
+{sync_out}
+        wcalls = general(why, i, pend_calls, pend_rets, pend_id, pend_tc)
+        if wcalls < 0:
+            return i + 1, hits
+{sync_in}
+        pend_calls = 0
+        pend_rets = 0
+        pend_id = 0
+        pend_tc = 0
+        why = 1
     if state is not None:
-        if scratch:
-            for sf in scratch:
-                frames_append(_frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
-        state.id_value = cur_id
-    if reason == 1:
-        consumed = i
-    else:
-        consumed = i + 1
-    return (
-        consumed,
-        reason,
-        cur_t,
-        pend_calls,
-        pend_rets,
-        pend_id,
-        pend_tc,
-        hits,
-        pcount,
-    )
+{writeback_end}
+{sync_out_end}
+    general(0, i, pend_calls, pend_rets, pend_id, pend_tc)
+    return -1, hits
 """
 
 
 def compile_columnar_kernel(
-    table: FastPathTable,
+    graph: "CallGraph",
+    dictionary: "EncodingDictionary",
+    tail_calling_functions: AbstractSet[FunctionId],
     *,
     gts: int,
     frame_factory: Callable[..., Any],
@@ -348,29 +310,35 @@ def compile_columnar_kernel(
     warm: bool,
     profiled: bool,
     interval: int,
-) -> ColumnarKernel:
+) -> Tuple[ColumnarKernel, int]:
     """``exec`` a dispatch kernel specialised for one engine epoch.
 
-    ``gts`` only names the generated function (``_kernel_gts<N>``) so
-    profiles and tracebacks identify which encoding epoch a kernel
-    belongs to; the real specialisation constants are the table's entry
-    dict (closure constant), ``warm``/``profiled`` (their branches are
-    present in the source only when the feature is live) and
-    ``interval`` (inlined literal).  The engine recompiles whenever the
-    table or any shape input changes — see
-    ``DacceEngine._ensure_columnar_kernel``.
+    Returns the kernel and the size of its entry dict.  ``gts`` only
+    names the generated function (``_kernel_gts<N>``) so profiles and
+    tracebacks identify which encoding epoch a kernel belongs to; the
+    real specialisation constants are the entry dict compiled from
+    ``dictionary`` (closure constant), ``warm``/``profiled`` (their
+    branches are present in the source only when the feature is live)
+    and ``interval`` (inlined literal).  The engine recompiles whenever
+    any of them changes — see ``DacceEngine._ensure_columnar_kernel``.
     """
+    entries = _dispatch_entries(graph, dictionary, tail_calling_functions)
     name = "_kernel_gts%d" % (gts,)
     source = _KERNEL_TEMPLATE.format(
         name=name,
         interval=interval,
-        switch_call=_SWITCH_BLOCK.format(i=" " * 20),
-        switch_ret=_SWITCH_BLOCK.format(i=" " * 16),
+        pcount="prof.countdown" if profiled else "0",
+        writeback_switch=_WRITEBACK_BLOCK.format(i=" " * 20),
+        writeback_general=_WRITEBACK_BLOCK.format(i=" " * 12),
+        writeback_end=_WRITEBACK_BLOCK.format(i=" " * 8),
         warm_block=_WARM_BLOCK if warm else "",
-        prof_block=_PROF_BLOCK if profiled else "",
+        hit_call_end=_PROF_HIT_CALL_END if profiled else _HIT_CALL_END,
+        sync_out="        prof.countdown = pcount" if profiled else "",
+        sync_in="        pcount = prof.countdown" if profiled else "",
+        sync_out_end="    prof.countdown = pcount" if profiled else "",
     )
     namespace: Dict[str, Any] = {
-        "_entries_get": table.entries.get,
+        "_entries_get": entries.get,
         "_frame": frame_factory,
         "_act_none": action_none,
         "_act_id": action_id,
@@ -380,4 +348,4 @@ def compile_columnar_kernel(
         compile(source, "<columnar-kernel gts=%d>" % (gts,), "exec"),
         namespace,
     )
-    return cast(ColumnarKernel, namespace[name])
+    return cast(ColumnarKernel, namespace[name]), len(entries)

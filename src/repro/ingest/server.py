@@ -65,6 +65,9 @@ class _IngestHandler(BaseHTTPRequestHandler):
 
     service: IngestService
     protocol_version = "HTTP/1.1"
+    # ``_send`` writes headers and body in two sends; with Nagle on, a
+    # kept-alive response waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002

@@ -20,7 +20,7 @@ from repro.program.trace import (
     ThreadSpec,
     WorkloadSpec,
     run_workload,
-    run_workload_batched,
+    run_workload_columnar,
 )
 from repro.static import extract_program
 from repro.static.graph import StaticCallGraph, StaticEdge, StaticFunction
@@ -223,12 +223,12 @@ def test_batched_processing_matches_per_event():
     program, spec, _, plan = _record_plan(calls=4000)
     per_event = DacceEngine(targeted=plan)
     run_workload(program, spec, per_event)
-    batched = DacceEngine(targeted=plan)
-    run_workload_batched(program, spec, batched)
-    assert len(per_event.samples) == len(batched.samples)
+    columnar = DacceEngine(targeted=plan)
+    run_workload_columnar(program, spec, columnar)
+    assert len(per_event.samples) == len(columnar.samples)
     decoder_a = per_event.decoder()
-    decoder_b = batched.decoder()
-    for sample_a, sample_b in zip(per_event.samples, batched.samples):
+    decoder_b = columnar.decoder()
+    for sample_a, sample_b in zip(per_event.samples, columnar.samples):
         path_a = [s.function for s in decoder_a.decode(sample_a).steps]
         path_b = [s.function for s in decoder_b.decode(sample_b).steps]
         assert path_a == path_b

@@ -1,9 +1,9 @@
 """Unit tests for the hot-path fast lane (PR 4).
 
-Covers the compact event wire format, the compiled
-:class:`FastPathTable` (contents, identity-based validity, subclass
-guard), the :class:`DecodeCache` LRU, and the steady-state hit-rate
-expectation the CI perf-smoke job gates on.
+Covers the compact event wire format, the generated dispatch kernel
+(entry-dict contents, identity-based validity, subclass guard), the
+:class:`DecodeCache` LRU, and the steady-state hit-rate expectation the
+CI perf-smoke job gates on.
 """
 
 import pytest
@@ -25,12 +25,13 @@ from repro.core.events import (
     compact,
     inflate,
 )
-from repro.core.fastpath import compile_table
+from repro.core.fastpath import _dispatch_entries
 from repro.program.generator import GeneratorConfig, generate_program
 from repro.program.trace import (
     TraceExecutor,
     WorkloadSpec,
-    run_workload_batched,
+    run_workload,
+    run_workload_columnar,
 )
 
 
@@ -71,24 +72,24 @@ def test_executor_compact_stream_matches_dataclass_stream():
 
 
 # ----------------------------------------------------------------------
-# FastPathTable
+# the kernel's entry dict
 # ----------------------------------------------------------------------
 def _run_engine(calls=4000, **config):
     program = generate_program(GeneratorConfig(seed=9, functions=30, edges=80))
     spec = WorkloadSpec(calls=calls, seed=3, **config)
     engine = DacceEngine()
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     return engine
 
 
 def test_table_holds_only_encoded_normal_forward_edges():
     engine = _run_engine()
     engine.reencode()
-    table = compile_table(
+    entries = _dispatch_entries(
         engine.graph, engine._current, engine._tail_calling_functions
     )
-    assert len(table) > 0
-    for (callsite, callee), (delta, edge, tail) in table.entries.items():
+    assert len(entries) > 0
+    for (callsite, callee), (delta, edge, tail) in entries.items():
         assert edge.kind is CallKind.NORMAL and not edge.is_back
         assert (edge.callsite, edge.callee) == (callsite, callee)
         assert delta == engine._current.encoding(callsite, callee)
@@ -97,29 +98,29 @@ def test_table_holds_only_encoded_normal_forward_edges():
 
 def test_table_validity_is_dictionary_identity():
     engine = _run_engine()
-    table = engine._ensure_fastpath()
-    assert table.valid_for(engine._current, len(engine._tail_calling_functions))
+    kernel = engine._ensure_columnar_kernel()
+    compiles = engine.fastpath.compiles
+    # Same dictionary object, same tail set: the kernel is reused.
+    assert engine._ensure_columnar_kernel() is kernel
+    assert engine.fastpath.compiles == compiles
     old_dictionary = engine._current
     assert engine.reencode()
-    # Committed pass: new dictionary object, old table stale.
-    assert not table.valid_for(
-        engine._current, len(engine._tail_calling_functions)
+    # Committed pass: new dictionary object, old kernel stale.
+    rebuilt = engine._ensure_columnar_kernel()
+    assert rebuilt is not kernel
+    assert engine.fastpath.compiles == compiles + 1
+    assert engine.fastpath_stats()["table_entries"] == len(
+        _dispatch_entries(
+            engine.graph, engine._current, engine._tail_calling_functions
+        )
     )
-    # The old object would validate again (rollback restores it).
-    assert table.valid_for(old_dictionary, table.tail_set_size)
-    rebuilt = engine._ensure_fastpath()
-    assert rebuilt is not table
-    assert rebuilt.valid_for(
-        engine._current, len(engine._tail_calling_functions)
-    )
-
-
-def test_process_batch_recompiles_after_reencode():
-    engine = _run_engine()
-    compiles_before = engine.fastpath.compiles
-    engine.reencode()
-    engine.process_batch([(EV_CALL, 0, 1, engine.graph.root, 1, 0)])
-    assert engine.fastpath.compiles > compiles_before
+    # Restoring the old object (what a rolled-back pass does) makes the
+    # kernel stale again; so does a grown tail-caller set.
+    engine._current = old_dictionary
+    again = engine._ensure_columnar_kernel()
+    assert again is not rebuilt
+    engine._tail_calling_functions.add(engine.graph.root)
+    assert engine._ensure_columnar_kernel() is not again
 
 
 # ----------------------------------------------------------------------
@@ -128,12 +129,17 @@ def test_process_batch_recompiles_after_reencode():
 def test_baseline_with_overridden_handlers_disables_fastpath():
     engine = GlobalIdEngine()
     assert not engine._fastpath_enabled
-    events = [CallEvent(0, 1, engine.graph.root, 1), ReturnEvent(0)]
-    engine.process_batch([compact(e) for e in events])
-    # Fell back to per-event dispatch: events were processed...
-    assert engine.stats.calls == 1 and engine.stats.returns == 1
+    program = generate_program(GeneratorConfig(seed=3, functions=12, edges=20))
+    spec = WorkloadSpec(calls=500, seed=1)
+    reference = GlobalIdEngine(root=program.main)
+    run_workload(program, spec, reference)
+    engine = GlobalIdEngine(root=program.main)
+    run_workload_columnar(program, spec, engine)
+    # Fell back to per-event dispatch: same end state...
+    assert engine.stats == reference.stats
     # ...and the fast-path counters never engaged.
-    assert engine.fastpath.hits == engine.fastpath.misses == 0
+    assert engine.fastpath.to_dict() == reference.fastpath.to_dict()
+    assert engine.fastpath.events == engine.fastpath.compiles == 0
 
 
 def test_pcce_subclass_keeps_fastpath():
@@ -163,10 +169,10 @@ def test_steady_state_hit_rate_above_90_percent():
     )
     engine = DacceEngine()
     # Warm up: discover and encode every edge, then measure a second run.
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     engine.reencode()
     engine.fastpath.hits = engine.fastpath.misses = 0
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     assert engine.fastpath.hit_rate > 0.90, engine.fastpath_stats()
 
 
@@ -200,7 +206,7 @@ def test_engine_decoder_shares_cache_across_samples():
     program = generate_program(GeneratorConfig(seed=9, functions=30, edges=80))
     spec = WorkloadSpec(calls=4000, seed=3, sample_period=50)
     engine = DacceEngine()
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     decoder = engine.decoder()
     uncached = [decoder._decode_uncached(s, True, True) for s in engine.samples]
     first = [decoder.decode(s) for s in engine.samples]

@@ -1,14 +1,13 @@
 """Differential property tests: the fast lane changes speed, not behaviour.
 
-The contract of ``DacceEngine.process_batch`` — and of the columnar
-``process_columns`` path with its code-generated dispatch kernel — is
-*exact* equivalence with one-event-at-a-time dispatch: byte-identical
-decoding state, identical collected samples, identical
+The contract of ``DacceEngine.process_columns`` — its code-generated
+dispatch kernel and the general path it takes from inside its loop —
+is *exact* equivalence with one-event-at-a-time dispatch:
+byte-identical decoding state, identical collected samples, identical
 statistics/metrics/cost accounting — across re-encoding (mid-batch and
 mid-stream), warm-start seeding, and fault-policy recovery.
 Hypothesis drives random programs, workloads, batch sizes and
-corruptions through all three paths and compares everything
-observable.
+corruptions through both paths and compares everything observable.
 
 The same discipline is applied to the decode side:
 ``decode_log_parallel`` must reproduce sequential ``decode_log`` output
@@ -66,17 +65,9 @@ def _drive_per_event(engine, records, reencode_at=None):
         engine.on_event(inflate(record))
 
 
-def _drive_batched(engine, records, batch_size, reencode_at=None):
-    cut = len(records) if reencode_at is None else reencode_at
-    for index, part in enumerate((records[:cut], records[cut:])):
-        if index == 1 and reencode_at is not None:
-            engine.reencode()
-        for start in range(0, len(part), batch_size):
-            engine.process_batch(part[start : start + batch_size])
-
-
 def _drive_columnar(engine, records, batch_size, reencode_at=None):
-    """Same shape as ``_drive_batched`` but through ``process_columns``."""
+    """Batches of ``batch_size`` through ``process_columns``; with
+    ``reencode_at`` a manual pass runs between two batches there."""
     cut = len(records) if reencode_at is None else reencode_at
     for index, part in enumerate((records[:cut], records[cut:])):
         if index == 1 and reencode_at is not None:
@@ -104,9 +95,9 @@ def _observable(engine):
     }
 
 
-def _assert_equivalent(per_event, batched):
+def _assert_equivalent(per_event, columnar):
     observed_a = _observable(per_event)
-    observed_b = _observable(batched)
+    observed_b = _observable(columnar)
     for key in observed_a:
         assert observed_a[key] == observed_b[key], "diverged in %r" % key
 
@@ -120,11 +111,11 @@ def _assert_equivalent(per_event, batched):
     calls=st.integers(200, 1500),
     threads=st.integers(0, 2),
     affinity=st.sampled_from([0.0, 0.3, 0.6]),
-    batch_size=st.sampled_from([1, 7, 64, 4096]),
+    batch_size=st.sampled_from([1, 7, 32, 64, 4096]),
     reencode_frac=st.one_of(st.none(), st.floats(0.1, 0.9)),
 )
 @settings(max_examples=25, deadline=None)
-def test_process_batch_equals_per_event(
+def test_process_columns_equals_per_event(
     program_seed, workload_seed, calls, threads, affinity, batch_size,
     reencode_frac,
 ):
@@ -134,9 +125,6 @@ def test_process_batch_equals_per_event(
     )
     per_event = DacceEngine()
     _drive_per_event(per_event, records, reencode_at)
-    batched = DacceEngine()
-    _drive_batched(batched, records, batch_size, reencode_at)
-    _assert_equivalent(per_event, batched)
     columnar = DacceEngine()
     _drive_columnar(columnar, records, batch_size, reencode_at)
     _assert_equivalent(per_event, columnar)
@@ -152,7 +140,7 @@ def test_process_batch_equals_per_event(
     batch_size=st.sampled_from([1, 32, 4096]),
 )
 @settings(max_examples=15, deadline=None)
-def test_process_batch_equals_per_event_warm_start(
+def test_process_columns_equals_per_event_warm_start(
     program_seed, workload_seed, calls, batch_size
 ):
     program, records = _stream(program_seed, workload_seed, calls, 0, 0.3)
@@ -164,10 +152,6 @@ def test_process_batch_equals_per_event_warm_start(
     assert plan.seeded_edges > 0
     per_event = fresh()
     _drive_per_event(per_event, records, reencode_at=len(records) // 2)
-    batched = fresh()
-    _drive_batched(batched, records, batch_size, reencode_at=len(records) // 2)
-    assert batched.stats.warmstart_handler_hits_avoided > 0
-    _assert_equivalent(per_event, batched)
     # NB: each engine needs its own freshly built plan — a WarmStartPlan
     # installs CallEdge objects by reference, so sharing one between two
     # engines would share (and double-consume) edge.invocations.
@@ -209,7 +193,7 @@ def _corrupt(records, seed, rate=0.02):
     batch_size=st.sampled_from([1, 32, 4096]),
 )
 @settings(max_examples=15, deadline=None)
-def test_process_batch_equals_per_event_under_fault_recovery(
+def test_process_columns_equals_per_event_under_fault_recovery(
     program_seed, workload_seed, corruption_seed, calls, batch_size
 ):
     _, records = _stream(program_seed, workload_seed, calls, 1, 0.3)
@@ -217,9 +201,6 @@ def test_process_batch_equals_per_event_under_fault_recovery(
     config = DacceConfig(fault_policy=FaultPolicy.RECOVER)
     per_event = DacceEngine(config=config)
     _drive_per_event(per_event, records)
-    batched = DacceEngine(config=DacceConfig(fault_policy=FaultPolicy.RECOVER))
-    _drive_batched(batched, records, batch_size)
-    _assert_equivalent(per_event, batched)
     columnar = DacceEngine(
         config=DacceConfig(fault_policy=FaultPolicy.RECOVER)
     )

@@ -13,7 +13,7 @@ from repro.core.serialize import (
     load_decoder,
 )
 from repro.program.generator import GeneratorConfig, generate_program
-from repro.program.trace import ThreadSpec, WorkloadSpec, run_workload_batched
+from repro.program.trace import ThreadSpec, WorkloadSpec, run_workload_columnar
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def recorded(tmp_path_factory):
         threads=[ThreadSpec(thread=1, entry=4, spawn_at_call=300)],
     )
     engine = DacceEngine()
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     log = SampleLog()
     log.extend(engine.samples)
     state_path = str(tmp_path_factory.mktemp("decode") / "run.state.json")

@@ -1,7 +1,10 @@
 """IngestServer HTTP surface: POST ingest, documents, SSE, downloads."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -65,6 +68,24 @@ def test_every_response_is_no_store_with_content_type(server):
         response = get(server, path)
         assert response.headers["Cache-Control"] == "no-store", path
         assert response.headers["Content-Type"], path
+
+
+def test_keep_alive_responses_do_not_wait_for_delayed_ack(server):
+    # Headers and body go out in two sends; without TCP_NODELAY every
+    # reused-connection response stalls ~40 ms on the client's ACK.
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    timings = []
+    try:
+        for _ in range(10):
+            start = time.perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            timings.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        connection.close()
+    assert statistics.median(timings) < 0.010, timings
 
 
 def test_unknown_route_is_structured_json_404(server):

@@ -2,13 +2,14 @@
 
 The profile server scrapes engine statistics and the Prometheus
 exposition from daemon threads while the workload thread is inside
-``process_batch`` — including mid-stream re-encoding passes.  The
+``process_columns`` — including mid-stream re-encoding passes.  The
 engine gives no stronger guarantee than "reads never raise and counters
 never go backwards"; this suite pins exactly that.
 """
 
 import threading
 
+from repro.core.columnar import EventColumns
 from repro.core.engine import DacceEngine
 from repro.obs import Telemetry
 from repro.prof import CCTAggregator
@@ -79,15 +80,9 @@ def test_scrapes_survive_batched_ingest_and_reencode():
         thread.start()
     try:
         # Feed the fast lane in small slices so scrapes interleave with
-        # many process_batch calls, several of which re-encode.
-        batch = []
-        for record in TraceExecutor(program, spec).compact_events():
-            batch.append(record)
-            if len(batch) == 256:
-                engine.process_batch(batch)
-                batch.clear()
-        if batch:
-            engine.process_batch(batch)
+        # many process_columns calls, several of which re-encode.
+        for cols in TraceExecutor(program, spec).column_events(256):
+            engine.process_columns(cols)
     finally:
         done.set()
         for thread in scrapers:
@@ -125,11 +120,13 @@ def test_scrape_during_explicit_reencode():
     try:
         events = list(TraceExecutor(program, spec).compact_events())
         third = len(events) // 3
-        engine.process_batch(events[:third])
+        engine.process_columns(EventColumns.from_compact(events[:third]))
         engine.reencode(reasons=("scrape-test",))
-        engine.process_batch(events[third:2 * third])
+        engine.process_columns(
+            EventColumns.from_compact(events[third:2 * third])
+        )
         engine.reencode(reasons=("scrape-test",))
-        engine.process_batch(events[2 * third:])
+        engine.process_columns(EventColumns.from_compact(events[2 * third:]))
     finally:
         done.set()
         scraper.join(timeout=30)

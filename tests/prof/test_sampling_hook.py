@@ -1,7 +1,7 @@
 """The engine's continuous-profiling sampling hook.
 
 The critical property: the hook observes the *identical* sample stream
-on the general event path and the batched fast lane, fires after the
+on the general event path and the columnar fast path, fires after the
 sampled call is applied, and charges its cost to the CLIENT ``sample``
 category — never perturbing encoding state.
 """
@@ -16,7 +16,7 @@ from repro.program.trace import (
     TraceExecutor,
     ThreadSpec,
     WorkloadSpec,
-    run_workload_batched,
+    run_workload_columnar,
 )
 
 
@@ -42,7 +42,7 @@ def collect_with_hook(every, batched, seed=3, calls=8_000):
         every, lambda sample, weight: collected.append((sample, weight))
     )
     if batched:
-        run_workload_batched(program, spec, engine)
+        run_workload_columnar(program, spec, engine)
     else:
         for event in TraceExecutor(program, spec).events():
             engine.on_event(event)
@@ -82,6 +82,38 @@ def test_batched_and_per_event_streams_identical():
     assert [w for _, w in batched] == [w for _, w in per_event]
 
 
+def run_epoch_changing_callback(columnar):
+    """A callback that re-encodes five times, then removes its hook."""
+    program, spec = workload(seed=10, calls=4_000)
+    engine = DacceEngine(root=program.main)
+    fired = []
+
+    def callback(sample, weight):
+        fired.append(sample)
+        if len(fired) <= 5:
+            engine.reencode(reasons=("from-callback",))
+        elif len(fired) == 10:
+            engine.remove_sample_hook()
+
+    engine.install_sample_hook(16, callback)
+    if columnar:
+        run_workload_columnar(program, spec, engine)
+    else:
+        for event in TraceExecutor(program, spec).events():
+            engine.on_event(event)
+    return engine, fired
+
+
+def test_epoch_changing_callback_identical_on_both_paths():
+    # The generated kernel must notice both epoch changes mid-batch.
+    per_event_engine, per_event = run_epoch_changing_callback(False)
+    columnar_engine, columnar = run_epoch_changing_callback(True)
+    assert len(columnar) == 10
+    assert columnar == per_event
+    assert columnar_engine.stats == per_event_engine.stats
+    assert columnar_engine.max_id == per_event_engine.max_id
+
+
 def test_hook_samples_decode_against_live_engine():
     engine, collected = collect_with_hook(32, batched=True)
     assert engine.stats.reencodings >= 1
@@ -107,7 +139,7 @@ def test_hook_charges_sample_category():
 def test_disabled_hook_costs_nothing():
     program, spec = workload()
     engine = DacceEngine(root=program.main)
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     assert engine.stats.profile_samples == 0
     assert dict(engine.cost.report.charges).get("sample", 0.0) == 0.0
 
@@ -122,7 +154,7 @@ def test_weigher_overrides_weight():
         lambda sample, weight: weights.append(weight),
         weigher=lambda: float(next(ticks)),
     )
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     assert weights == [float(index + 1) for index in range(len(weights))]
 
 
