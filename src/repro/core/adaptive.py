@@ -16,6 +16,18 @@ edges", Section 6.4 — the paper's 483.xalancbmk anecdote where maxID
 (b) orders each node's in-edges by invocation frequency so the hottest
 gets encoding 0, and (c) enables ccStack compression on highly repetitive
 recursive edges (Figure 5(e)).
+
+Re-encoding converges.  Recursive code keeps trigger 3 firing on
+back-edge traffic that no pass can encode, so a pass whose candidate
+dictionary equals the current one is a *no-effect* pass: the engine
+discards it (``DacceEngine.reencode``).  After ``k`` consecutive
+no-effect passes the policy ignores a trigger that fires on
+``ccstack-traffic`` alone for the next ``2**k - 1`` windows (at most
+``CCSTACK_BACKOFF_CAP``).  A committed pass, a pending new edge, a back
+edge that newly qualifies for compression, or a ``new-edges`` /
+``hot-paths-changed`` trigger resets the backoff.  Back edges stay in
+trigger 3's count on purpose: frequency-ordered reclassification can
+legitimately move the back-edge set.
 """
 
 from __future__ import annotations
@@ -28,6 +40,12 @@ from .callgraph import CallEdge, CallGraph
 from .events import CallSiteId, FunctionId
 
 EdgeKey = Tuple[CallSiteId, FunctionId]
+
+#: Most windows a ccstack-traffic-only trigger is ignored for after
+#: consecutive no-effect passes (the ``2**k - 1`` backoff's ceiling), so
+#: a phase change that reclassification could exploit waits at most
+#: this many windows.
+CCSTACK_BACKOFF_CAP = 1023
 
 
 @dataclass
@@ -81,6 +99,8 @@ class TriggerDecision:
     reasons: List[str] = field(default_factory=list)
     window: Optional[WindowStats] = None
     pending_new_edges: int = 0
+    #: True when trigger 3 fired alone but the backoff suppressed it.
+    backed_off: bool = False
 
     def window_dict(self) -> Optional[Dict[str, int]]:
         """The window counters as plain data (for pass reports)."""
@@ -105,6 +125,10 @@ class AdaptivePolicy:
         #: Telemetry: evaluations performed / evaluations that fired.
         self.evaluations = 0
         self.fired = 0
+        #: Consecutive no-effect passes, and the windows a
+        #: ccstack-traffic-only trigger is still ignored for.
+        self.no_effect_streak = 0
+        self.backoff_windows = 0
 
     # -- trigger evaluation --------------------------------------------
     def evaluate(self, window: WindowStats, pending_new_edges: int) -> TriggerDecision:
@@ -121,6 +145,18 @@ class AdaptivePolicy:
             ccstack_rate = window.ccstack_ops / window.calls
             if ccstack_rate > config.ccstack_rate_threshold:
                 reasons.append("ccstack-traffic")
+        backed_off = False
+        if (
+            pending_new_edges
+            or (reasons and reasons != ["ccstack-traffic"])
+            or (self.backoff_windows and self._compression_pending())
+        ):
+            self.reset_backoff()  # new evidence
+        elif self.backoff_windows:
+            self.backoff_windows -= 1
+            if reasons:
+                reasons = []
+                backed_off = True
         if reasons:
             self.fired += 1
         return TriggerDecision(
@@ -128,6 +164,20 @@ class AdaptivePolicy:
             reasons=reasons,
             window=window,
             pending_new_edges=pending_new_edges,
+            backed_off=backed_off,
+        )
+
+    # -- trigger 3 backoff ---------------------------------------------
+    def reset_backoff(self) -> None:
+        """A pass committed, or new evidence arrived."""
+        self.no_effect_streak = 0
+        self.backoff_windows = 0
+
+    def pass_had_no_effect(self) -> None:
+        """A trigger-driven pass rebuilt the current dictionary."""
+        self.no_effect_streak += 1
+        self.backoff_windows = min(
+            (1 << self.no_effect_streak) - 1, CCSTACK_BACKOFF_CAP
         )
 
     # -- recursion compression -----------------------------------------
@@ -145,14 +195,25 @@ class AdaptivePolicy:
         ccStack of collected contexts; if they are highly repetitive,
         adjust the encoding algorithm on recursive calls").
         """
-        config = self.config
-        for key, (pushes, repetitive) in self._recursion_pushes.items():
-            if (
-                pushes >= config.compression_min_pushes
-                and repetitive / pushes >= config.compression_repetition_fraction
-            ):
+        for key, counters in self._recursion_pushes.items():
+            if self._repetitive(counters):
                 self._compressed_edges.add(key)
         return set(self._compressed_edges)
+
+    def _repetitive(self, counters: List[int]) -> bool:
+        pushes, repetitive = counters
+        config = self.config
+        return (
+            pushes >= config.compression_min_pushes
+            and repetitive / pushes >= config.compression_repetition_fraction
+        )
+
+    def _compression_pending(self) -> bool:
+        """Would the next pass compress an edge it does not compress yet?"""
+        return any(
+            key not in self._compressed_edges and self._repetitive(counters)
+            for key, counters in self._recursion_pushes.items()
+        )
 
     def is_compressed(self, key: EdgeKey) -> bool:
         return key in self._compressed_edges

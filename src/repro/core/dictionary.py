@@ -63,6 +63,20 @@ class EncodingDictionary:
         for info in self._edges.values():
             self._in_edges.setdefault(info.callee, []).append(info)
 
+    def same_encoding(self, other: "EncodingDictionary") -> bool:
+        """True when ``other`` encodes exactly like this dictionary.
+
+        Compares ``maxID``, every node's numCC and every edge's
+        ``(encoding, is_back)`` — everything but the timestamp.  A
+        re-encoding pass whose candidate matches the current dictionary
+        changes nothing and is discarded.
+        """
+        return (
+            self.max_id == other.max_id
+            and self._numcc == other._numcc
+            and self._edges == other._edges
+        )
+
     # -- lookups used by Algorithm 1 -----------------------------------
     def numcc(self, function: FunctionId) -> int:
         """``numCC(function)``; unknown functions count one context."""

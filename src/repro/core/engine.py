@@ -228,7 +228,11 @@ class DacceStats:
     indirect_hits: int = 0
     indirect_misses: int = 0
     tail_calls: int = 0
+    #: Committed re-encoding passes (the paper's gTS).
     reencodings: int = 0
+    #: Trigger-driven passes skipped: candidate equal to the current
+    #: dictionary (no-effect) or suppressed by the trigger-3 backoff.
+    reencodes_skipped: int = 0
     reencode_cost_cycles: float = 0.0
     validation_failures: int = 0
     #: ccStack operations caused by edges awaiting their first encoding
@@ -523,6 +527,15 @@ class DacceEngine:
             "generated kernel, miss = taken through the general path).",
             labelnames=("result",),
         )
+        self._c_skipped = registry.counter(
+            "reencode_skipped_total",
+            "Trigger-driven re-encoding passes skipped: the candidate "
+            "equalled the current dictionary (no-effect) or the "
+            "ccstack-traffic backoff suppressed the trigger (backoff).",
+            labelnames=("reason",),
+        )
+        for reason in ("no-effect", "backoff"):
+            self._c_skipped.labels(reason)
         self._c_decode_cache = registry.counter(
             "decode_cache_total",
             "Engine decode-cache lookups (memoised Algorithm 1 results).",
@@ -546,6 +559,7 @@ class DacceEngine:
             ("back_edge_calls", stats.back_edge_calls),
             ("tail_calls", stats.tail_calls),
             ("reencodings", stats.reencodings),
+            ("reencodes_skipped", stats.reencodes_skipped),
             ("validation_failures", stats.validation_failures),
             ("discovery_ccstack_ops", stats.discovery_ccstack_ops),
             ("static_seeded_edges", stats.static_seeded_edges),
@@ -1445,6 +1459,7 @@ class DacceEngine:
             "overflowed": self._current.overflowed,
             "gts": self._timestamp,
             "reencodings": self.stats.reencodings,
+            "reencodes_skipped": self.stats.reencodes_skipped,
             "handler_invocations": self.stats.handler_invocations,
             "static_seeded_edges": self.stats.static_seeded_edges,
             "warmstart_handler_hits_avoided": (
@@ -1806,6 +1821,14 @@ class DacceEngine:
         self._window = WindowStats()
         if decision.reencode:
             self.reencode(tuple(decision.reasons), decision=decision)
+        elif decision.backed_off:
+            self._count_skip("backoff")
+
+    def _count_skip(self, reason: str) -> None:
+        """Account one skipped re-encoding (``no-effect`` or ``backoff``)."""
+        self.stats.reencodes_skipped += 1
+        if self._obs:
+            self._c_skipped.labels(reason).inc()
 
     def reencode(
         self,
@@ -1831,6 +1854,15 @@ class DacceEngine:
         fault policy the rollback re-raises as
         :class:`~repro.core.errors.ReencodeError`; in ``recover`` the
         abort is quarantined and the engine keeps the old encoding.
+
+        A trigger-driven pass (one with a ``decision``) whose candidate
+        dictionary equals the current one — same ``max_id``, numCC,
+        per-edge ``(encoding, is_back)`` and compressed-edge set — has
+        no effect: it restores ``gTimeStamp`` and the graph generation,
+        keeps the current dictionary *object* (so the columnar kernel
+        stays valid) and returns ``False`` without the commit gate,
+        thread regeneration, listeners or a pass record.  An explicit
+        call (no ``decision``) always commits.
 
         Returns ``True`` when the pass committed.
         """
@@ -1858,7 +1890,15 @@ class DacceEngine:
                 else insertion_order
             )
             encoder = Encoder(order_policy=order, id_bits=self.config.id_bits)
-            self._current = encoder.encode(self.graph, timestamp=self._timestamp)
+            candidate = encoder.encode(self.graph, timestamp=self._timestamp)
+            if (
+                decision is not None
+                and compressed_edges == snapshot["compressed"]
+                and candidate.same_encoding(self._current)
+            ):
+                self._skip_no_effect_pass(snapshot, pass_span)
+                return False
+            self._current = candidate
             if self.config.reencode_commit_gate:
                 violations = self._commit_gate(self._current)
                 if violations:
@@ -1907,6 +1947,7 @@ class DacceEngine:
             + len(self._threads) * self.cost.parameters.thread_suspend
         )
         self.cost.charge_reencode(self.graph.num_edges, len(self._threads))
+        self.policy.reset_backoff()
         self.stats.reencodings += 1
         self.stats.reencode_cost_cycles += cost
         pass_record = ReencodeRecord(
@@ -1960,6 +2001,26 @@ class DacceEngine:
                 )
             )
         return True
+
+    def _skip_no_effect_pass(
+        self, snapshot: Dict[str, Any], pass_span: Optional[Any]
+    ) -> None:
+        """Discard a pass whose candidate equals the current dictionary.
+
+        Reclassification reproduced the current back-edge flags, so only
+        the counters the pass bumped need restoring.  Building the
+        candidate is charged (per edge; no thread is suspended).
+        """
+        self._timestamp = snapshot["timestamp"]
+        self.graph.generation = snapshot["generation"]
+        self.cost.charge_reencode(self.graph.num_edges, 0)
+        self.policy.pass_had_no_effect()
+        self._count_skip("no-effect")
+        if pass_span is not None:
+            pass_span.set(
+                skipped=True, gts=self._timestamp, max_id=self._current.max_id
+            )
+            pass_span.__exit__(None, None, None)
 
     def _commit_gate(self, dictionary: EncodingDictionary) -> List[str]:
         """Soundness check gating a re-encoding pass (overridable seam).

@@ -348,6 +348,7 @@ class FrameEmitter:
             "returns": stats.returns,
             "handler_invocations": stats.handler_invocations,
             "reencodings": stats.reencodings,
+            "reencodes_skipped": stats.reencodes_skipped,
             "profile_samples": stats.profile_samples,
             "fastpath_hits": engine.fastpath.hits,
             "fastpath_misses": engine.fastpath.misses,

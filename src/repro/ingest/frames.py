@@ -115,6 +115,21 @@ def _require(condition: bool, reason: str, message: str) -> None:
         raise FrameError(reason, message)
 
 
+_INT_ONLY = frozenset((int,))
+
+
+def _function_ids(path: List[Any]) -> bool:
+    """Whether every element of ``path`` is an int (and not a bool).
+
+    Decoded JSON holds exact ``int`` objects, so one C-level scan of the
+    element types settles the common case; anything else (a bool, a
+    float, an ``int`` subclass) takes the exact per-element test.
+    """
+    return _INT_ONLY.issuperset(map(type, path)) or all(
+        isinstance(f, int) and not isinstance(f, bool) for f in path
+    )
+
+
 def _validate_samples_payload(payload: Dict[str, Any]) -> None:
     samples = payload.get("samples")
     _require(
@@ -123,33 +138,33 @@ def _validate_samples_payload(payload: Dict[str, Any]) -> None:
         "profile.samples payload needs a 'samples' list",
     )
     assert isinstance(samples, list)
+    # Per-sample checks inline: this loop runs once per sample ingested,
+    # and messages are formatted only for the sample that fails.
     for index, entry in enumerate(samples):
-        _require(
-            isinstance(entry, dict),
-            "bad-payload",
-            "sample %d is not an object" % index,
-        )
+        if not isinstance(entry, dict):
+            raise FrameError("bad-payload", "sample %d is not an object" % index)
         path = entry.get("path")
-        _require(
-            isinstance(path, list)
-            and all(isinstance(f, int) and not isinstance(f, bool) for f in path),
-            "bad-payload",
-            "sample %d 'path' must be a list of function ids" % index,
-        )
+        if not (isinstance(path, list) and _function_ids(path)):
+            raise FrameError(
+                "bad-payload",
+                "sample %d 'path' must be a list of function ids" % index,
+            )
         weight = entry.get("weight", 1.0)
-        _require(
+        if not (
             isinstance(weight, (int, float))
             and not isinstance(weight, bool)
-            and weight >= 0,
-            "bad-payload",
-            "sample %d 'weight' must be a non-negative number" % index,
-        )
+            and weight >= 0
+        ):
+            raise FrameError(
+                "bad-payload",
+                "sample %d 'weight' must be a non-negative number" % index,
+            )
         gts = entry.get("gts", 0)
-        _require(
-            isinstance(gts, int) and not isinstance(gts, bool) and gts >= 0,
-            "bad-payload",
-            "sample %d 'gts' must be a non-negative integer" % index,
-        )
+        if not (isinstance(gts, int) and not isinstance(gts, bool) and gts >= 0):
+            raise FrameError(
+                "bad-payload",
+                "sample %d 'gts' must be a non-negative integer" % index,
+            )
 
 
 def _validate_run_start_payload(payload: Dict[str, Any]) -> None:

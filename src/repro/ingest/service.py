@@ -66,8 +66,6 @@ from typing import (
 
 import time
 
-from ..core.context import CallingContext
-from ..core.faults import PartialDecode
 from ..obs.exporters import to_prometheus_text
 from ..obs.registry import DEFAULT_DURATION_BUCKETS, MetricsRegistry
 from ..obs.spans import NULL_SPANS, SpanContext, SpanRecorder
@@ -97,6 +95,13 @@ _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 DEFAULT_RUN = "default"
 DEFAULT_RECENT_CAPACITY = 1024
+
+#: Bound on the SSE backlog ring, in bytes of canonical JSON lines: one
+#: ``profile.samples`` envelope can carry hundreds of samples, so the
+#: count cap alone does not bound the parsed payloads the ring holds
+#: (about five times the line's size).  The newest envelope is always
+#: kept.
+RECENT_BYTES_BUDGET = 256 << 10
 
 #: Bound on one SSE subscriber's undelivered-envelope queue.
 DEFAULT_SUBSCRIBER_QUEUE = 1024
@@ -257,8 +262,12 @@ class IngestService:
             labelnames=("stage",),
             buckets=DEFAULT_DURATION_BUCKETS,
         )
-        # Live-stream plumbing (not part of replayed state).
-        self._recent: Deque[Envelope] = deque(maxlen=recent_capacity)
+        # Live-stream plumbing (not part of replayed state): the SSE
+        # backlog ring, bounded by count and by RECENT_BYTES_BUDGET.
+        self.recent_capacity = recent_capacity
+        self._recent: Deque[Envelope] = deque()
+        self._recent_sizes: Deque[int] = deque()
+        self._recent_bytes = 0
         self._subscribers: List[_Subscriber] = []
         self.subscriber_drops = 0
         # Back-pressure accounting: its own lock, so admission control
@@ -357,8 +366,9 @@ class IngestService:
                     state.outcomes[outcome] = (
                         state.outcomes.get(outcome, 0) + 1
                     )
-                    self._persist(state, envelope)
-                    self._publish(envelope)
+                    canonical = envelope.to_json_line()
+                    self._persist(state, canonical)
+                    self._publish(envelope, len(canonical))
             else:
                 for line in lines:
                     line = line.strip()
@@ -388,8 +398,9 @@ class IngestService:
                         state.outcomes.get(outcome, 0) + 1
                     )
                     t2 = time.perf_counter()
-                    self._persist(state, envelope)
-                    self._publish(envelope)
+                    canonical = envelope.to_json_line()
+                    self._persist(state, canonical)
+                    self._publish(envelope, len(canonical))
                     publish_dur = time.perf_counter() - t2
                     self._stage_span(
                         "publish", "ingest.publish", publish_dur, parent
@@ -595,31 +606,40 @@ class IngestService:
         return OUTCOME_FOLDED
 
     def _fold_samples(self, state: RunState, payload: Dict[str, Any]) -> None:
+        add_path = self.aggregator.add_path
         for entry in payload.get("samples", ()):
-            path = tuple(entry.get("path", ()))
             weight = float(entry.get("weight", 1.0))
-            gts = int(entry.get("gts", 0))
-            context = CallingContext.from_functions(path)
-            if entry.get("partial"):
-                result: Any = PartialDecode(context=context, complete=False)
-            else:
-                result = context
-            self.aggregator.add_decoded(result, weight, timestamp=gts)
+            add_path(
+                entry.get("path", ()),
+                weight,
+                int(entry.get("gts", 0)),
+                partial=bool(entry.get("partial")),
+            )
             state.samples += 1
             state.weight += weight
 
     # ------------------------------------------------------------------
     # persistence + streaming
     # ------------------------------------------------------------------
-    def _persist(self, state: RunState, envelope: Envelope) -> None:
+    def _persist(self, state: RunState, line: str) -> None:
+        """Append one envelope's canonical JSON line to the run log."""
         if state.path is None:
             return
         if state._handle is None:
             state._handle = open(state.path, "a")
-        state._handle.write(envelope.to_json_line() + "\n")
+        state._handle.write(line + "\n")
 
-    def _publish(self, envelope: Envelope) -> None:
-        self._recent.append(envelope)
+    def _publish(self, envelope: Envelope, size: int) -> None:
+        """Stream one envelope; ``size`` is its JSON line's length."""
+        recent, sizes = self._recent, self._recent_sizes
+        recent.append(envelope)
+        sizes.append(size)
+        self._recent_bytes += size
+        while len(recent) > self.recent_capacity or (
+            self._recent_bytes > RECENT_BYTES_BUDGET and len(recent) > 1
+        ):
+            recent.popleft()
+            self._recent_bytes -= sizes.popleft()
         for sub in list(self._subscribers):
             if sub.run is not None and envelope.run != sub.run:
                 continue

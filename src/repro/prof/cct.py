@@ -54,6 +54,11 @@ PARTIAL_FUNCTION = -1
 #: Sentinel id of the synthetic tree root (above ``main``).
 ROOT_FUNCTION = -2
 
+#: Bound on the tree's path -> node cache (cleared wholesale when full):
+#: keys are whole paths, so a deep tree sampled at every depth would
+#: otherwise hold memory quadratic in its depth.
+PATH_CACHE_CAPACITY = 8192
+
 #: Rendered names of the sentinel nodes.
 PARTIAL_NAME = "<partial>"
 ROOT_NAME = "<root>"
@@ -139,25 +144,31 @@ class CCT:
 
     def __init__(self) -> None:
         self.root = CCTNode(ROOT_FUNCTION)
+        #: Node reached by each recently inserted path.  Nodes are never
+        #: removed, so a context seen again is one dict probe instead
+        #: of a walk from the root.
+        self._nodes: Dict[Tuple[int, ...], CCTNode] = {}
 
     # ------------------------------------------------------------------
     def insert(self, path: Sequence[int], weight: float = 1.0) -> CCTNode:
         """Add one sample along ``path``; returns the leaf node."""
-        node = self.root
-        for function in path:
-            node = node.child(function)
+        path = tuple(path)
+        nodes = self._nodes
+        node = nodes.get(path)
+        if node is None:
+            node = self.root
+            for function in path:
+                node = node.child(function)
+            if len(nodes) >= PATH_CACHE_CAPACITY:
+                nodes.clear()
+            nodes[path] = node
         node.self_weight += weight
         node.self_samples += 1
         return node
 
     def insert_partial(self, path: Sequence[int], weight: float = 1.0) -> CCTNode:
         """Add a partially decoded sample under the ``<partial>`` node."""
-        node = self.root.child(PARTIAL_FUNCTION)
-        for function in path:
-            node = node.child(function)
-        node.self_weight += weight
-        node.self_samples += 1
-        return node
+        return self.insert((PARTIAL_FUNCTION,) + tuple(path), weight)
 
     # ------------------------------------------------------------------
     @property
@@ -225,7 +236,9 @@ class CCTAggregator:
       the attached decoder (best-effort: partial decodes are kept).
       This is the live path the engine's sampling hook drives.
     * :meth:`add_decoded` — ingest an already decoded
-      :class:`CallingContext` / :class:`PartialDecode`.
+      :class:`CallingContext` / :class:`PartialDecode`; it folds through
+      :meth:`add_path`, which the ingest service calls directly with
+      the function paths that frames carry.
     * :meth:`aggregate_log` — batch path: shard a recorded log through
       :func:`~repro.core.parallel.decode_log_parallel` (worker-local
       :class:`~repro.core.decoder.DecodeCache` memoisation) and fold
@@ -324,12 +337,22 @@ class CCTAggregator:
     ) -> None:
         """Fold one decode result into the tree (epoch-merge rule)."""
         if isinstance(result, PartialDecode):
-            context = result.context
-            partial = not result.complete
+            self.add_path(
+                result.context.functions(), weight, timestamp,
+                partial=not result.complete,
+            )
         else:
-            context = result
-            partial = False
-        path = context.functions()
+            self.add_path(result.functions(), weight, timestamp)
+
+    def add_path(
+        self,
+        path: Sequence[int],
+        weight: float = 1.0,
+        timestamp: Optional[int] = None,
+        partial: bool = False,
+    ) -> None:
+        """Fold one decoded function path (recursion expanded) into the
+        tree; ``partial`` files it under ``<partial>``."""
         with self._lock:
             self.samples_total += 1
             self.weight_total += weight

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
+from repro.core.adaptive import AdaptiveConfig
 from repro.core.columnar import EventColumns
 from repro.core.engine import DacceConfig, DacceEngine
 from repro.core.events import EV_CALL, EV_RETURN, inflate
@@ -29,6 +30,7 @@ from repro.program.generator import GeneratorConfig, generate_program
 from repro.program.trace import ThreadSpec, TraceExecutor, WorkloadSpec
 from repro.static.synthetic import extract_program
 from repro.static.warmstart import build_warmstart
+from tests.core.test_convergence import new_edge_records, recursion_records
 
 
 # ----------------------------------------------------------------------
@@ -205,4 +207,43 @@ def test_process_columns_equals_per_event_under_fault_recovery(
         config=DacceConfig(fault_policy=FaultPolicy.RECOVER)
     )
     _drive_columnar(columnar, records, batch_size)
+    _assert_equivalent(per_event, columnar)
+
+
+@given(
+    cycle=st.integers(2, 4),
+    laps=st.integers(3, 6),
+    batch_size=st.sampled_from([1, 7, 64, 4096]),
+)
+@settings(max_examples=10, deadline=None)
+def test_process_columns_equals_per_event_across_skipped_passes(
+    cycle, laps, batch_size
+):
+    # Recursion until trigger-3 passes are skipped (no-effect, then
+    # backoff), a new edge whose hot traffic commits a pass, recursion
+    # again.  Recursion runs up to ``laps`` times round the cycle, so
+    # the back edge carries enough ccStack traffic to fire trigger 3.
+    modulus = cycle * laps
+    phases = [
+        recursion_records(cycle, 300, modulus),
+        new_edge_records(40),
+        recursion_records(cycle, 300, modulus),
+    ]
+
+    def fresh():
+        return DacceEngine(
+            config=DacceConfig(adaptive=AdaptiveConfig(check_interval=64))
+        )
+
+    per_event = fresh()
+    progress = []
+    for phase in phases:
+        _drive_per_event(per_event, phase)
+        progress.append(
+            (per_event.stats.reencodings, per_event.stats.reencodes_skipped)
+        )
+    assert progress[0][1] > 0  # skipped passes happened ...
+    assert progress[1][0] > progress[0][0]  # ... and then one committed
+    columnar = fresh()
+    _drive_columnar(columnar, [r for phase in phases for r in phase], batch_size)
     _assert_equivalent(per_event, columnar)

@@ -97,6 +97,39 @@ def test_samples_payload_validation():
         validate_frame(make_frame("profile.samples", bad_gts, 1.0, 0))
 
 
+@pytest.mark.parametrize(
+    "path, ok",
+    [
+        ([], True),
+        ([0, 7, 3], True),
+        ([0, True], False),  # a bool is not a function id
+        ([0, 1.0], False),
+        ([0, None], False),
+        ([0, [1]], False),
+    ],
+)
+def test_samples_path_must_hold_function_ids(path, ok):
+    payload = samples_payload(
+        [sample_entry([0], 1.0, 0), {"path": path, "weight": 1.0, "gts": 0}]
+    )
+    frame = make_frame("profile.samples", payload, 1.0, 0)
+    if ok:
+        validate_frame(frame)
+        return
+    with pytest.raises(FrameError, match="sample 1 'path'"):
+        validate_frame(frame)
+
+
+def test_samples_path_accepts_int_subclasses():
+    import enum
+
+    class Fn(enum.IntEnum):
+        MAIN = 0
+        LEAF = 4
+
+    payload = samples_payload([{"path": [Fn.MAIN, Fn.LEAF], "weight": 1.0}])
+    validate_frame(make_frame("profile.samples", payload, 1.0, 0))
+
 def test_sample_entry_partial_marker():
     entry = sample_entry([3], 1.0, 2, partial=True, reason="unknown-context")
     assert entry["partial"] is True

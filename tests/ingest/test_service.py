@@ -15,6 +15,7 @@ from repro.ingest import (
     sample_entry,
     samples_payload,
 )
+from repro.ingest import service as service_module
 
 
 def make_sample_line(paths, weight=1.0, gts=0, seq=0):
@@ -186,6 +187,36 @@ def test_subscriber_run_filter_and_backlog():
     subscriber = service.subscribe(run="a", backlog=10)
     assert subscriber.get_nowait().run == "a"
     assert subscriber.empty()
+
+
+def test_backlog_ring_is_bounded_by_bytes():
+    # 256-sample frames: the count cap alone would hold ~1024 of them.
+    paths = [[0, 2, 10 + i] for i in range(256)]
+    service = IngestService()
+    for seq in range(200):
+        service.ingest_lines("r1", [make_sample_line(paths, seq=seq)])
+    sizes = [len(e.to_json_line()) for e in service._recent]
+    assert sum(sizes) <= service_module.RECENT_BYTES_BUDGET
+    assert sum(sizes) > service_module.RECENT_BYTES_BUDGET - max(sizes)
+    assert service._recent_bytes == sum(sizes)
+    assert len(sizes) < 200
+    backlog = service.subscribe(backlog=3)
+    newest = [backlog.get_nowait().origin_seq for _ in range(3)]
+    assert newest == [197, 198, 199]
+    assert backlog.empty()
+
+
+def test_backlog_ring_keeps_count_cap_and_newest_oversized_envelope(
+    monkeypatch,
+):
+    service = IngestService(recent_capacity=4)
+    for seq in range(10):
+        service.ingest_lines("r1", [make_sample_line([[0, 2]], seq=seq)])
+    assert [e.origin_seq for e in service._recent] == [6, 7, 8, 9]
+    monkeypatch.setattr(service_module, "RECENT_BYTES_BUDGET", 10)
+    service.ingest_lines("r1", [make_sample_line([[0, 2]], seq=10)])
+    assert [e.origin_seq for e in service._recent] == [10]
+    assert service.subscribe(backlog=5).get_nowait().origin_seq == 10
 
 
 def test_run_summaries():

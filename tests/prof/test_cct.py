@@ -62,6 +62,31 @@ def test_partial_inserts_under_partial_pseudo_node():
     assert cct.partial_node.children[7].children[8].self_weight == 3.0
 
 
+def test_repeated_path_reaches_the_same_node_in_any_form():
+    cct = CCT()
+    first = cct.insert([0, 1, 2], 1.0)
+    assert cct.insert((0, 1, 2), 2.0) is first
+    assert cct.insert(iter((0, 1, 2)), 4.0) is first
+    partial = cct.insert_partial([5], 1.0)
+    assert cct.insert((PARTIAL_FUNCTION, 5), 1.0) is partial
+    assert cct.insert_partial((5,), 1.0) is partial
+    assert cct.num_nodes() == 5  # 0, 0;1, 0;1;2, <partial>, <partial>;5
+    assert (first.self_weight, first.self_samples) == (7.0, 3)
+    assert (partial.self_weight, partial.self_samples) == (3.0, 3)
+
+def test_path_cache_is_bounded(monkeypatch):
+    import repro.prof.cct as cct_module
+
+    monkeypatch.setattr(cct_module, "PATH_CACHE_CAPACITY", 2)
+    cct = CCT()
+    first = cct.insert((0, 1), 1.0)
+    for leaf in range(2, 6):
+        cct.insert((0, leaf), 1.0)
+        assert len(cct._nodes) <= 2
+    assert cct.insert((0, 1), 1.0) is first
+    assert (first.self_weight, first.self_samples) == (2.0, 2)
+    assert cct.num_nodes() == 6 and cct.total_samples() == 6
+
 def test_max_depth_and_walk():
     cct = CCT()
     cct.insert((0,), 1.0)
@@ -119,6 +144,27 @@ def test_add_decoded_complete_and_partial_accounting():
     )
     assert aggregator.stats()["samples_partial"] == 1
 
+
+def test_add_path_equals_add_decoded():
+    by_path = CCTAggregator()
+    by_context = CCTAggregator()
+    samples = [((0, 1), 2.0, 1, False), ((5,), 3.0, 2, True),
+               ((0, 1), 0.5, 2, False), ((0, 1, 1), 1.0, None, False)]
+    for path, weight, gts, partial in samples:
+        by_path.add_path(list(path), weight, gts, partial=partial)
+        result = context(*path)
+        if partial:
+            result = PartialDecode(
+                context=result, complete=False,
+                fault=DecodeFault(reason="missing-dictionary", message="x"),
+            )
+        by_context.add_decoded(result, weight, timestamp=gts)
+    assert by_path.leaf_weights() == {
+        (0, 1): 2.5, (PARTIAL_FUNCTION, 5): 3.0, (0, 1, 1): 1.0,
+    }
+    assert by_path.to_dict() == by_context.to_dict()
+    assert by_path.stats() == by_context.stats()
+    assert by_path.epochs_seen == by_context.epochs_seen
 
 def test_add_sample_without_decoder_raises():
     aggregator = CCTAggregator()
