@@ -19,6 +19,7 @@ reproduction cannot run those binaries; instead each benchmark is a
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -76,6 +77,16 @@ class BenchmarkSpec:
     seed: int = 0
 
     # -- derived quantities -------------------------------------------
+    @property
+    def name_seed(self) -> int:
+        """A seed derived from the name, the same in every process.
+
+        (``hash(str)`` is salted per process unless ``PYTHONHASHSEED``
+        is set, which would give a benchmark a different program in
+        every run.)
+        """
+        return zlib.crc32(self.name.encode())
+
     @property
     def ccstack_rate(self) -> float:
         """DACCE ccStack operations per dynamic call (from Table 1)."""
@@ -169,7 +180,7 @@ class BenchmarkSpec:
         library_functions = max(4, functions // 40)
         return GeneratorConfig(
             name=self.name,
-            seed=hash(self.name) % 100_000 + self.seed,
+            seed=self.name_seed % 100_000 + self.seed,
             functions=functions,
             edges=edges,
             static_only_functions=static_fn,
@@ -213,7 +224,7 @@ class BenchmarkSpec:
         depth_target = 12 if paper.depth < 1 else 18
         return WorkloadSpec(
             calls=calls,
-            seed=seed + (hash(self.name) % 1000),
+            seed=seed + self.name_seed % 1000,
             sample_period=max(11, calls // 1200),
             target_depth=depth_target,
             max_depth=400,

@@ -14,7 +14,7 @@ from types import FrameType
 from typing import List, Optional
 
 from ..core.context import CallingContext, ContextStep
-from .tracer import ROOT_FUNCTION, PythonDacceTracer
+from .tracer import _IN_REGION, ROOT_FUNCTION, PythonDacceTracer
 
 
 def walk_stack(
@@ -26,16 +26,21 @@ def walk_stack(
 
     ``skip`` drops that many innermost frames (this helper itself).
     Frames above the tracer's base (the harness) collapse into the
-    root node, matching the engine's view.
+    root node, matching the engine's view.  Each live frame is named by
+    the tracer's id stack, so an untracked region reads as one
+    ``<untracked>`` step and the walk assigns no ids.
     """
     if frame is None:
         frame = sys._getframe(skip)
     functions: List[int] = []
-    live = {id(f) for f in tracer._live_frames}
+    live = {
+        id(f): fid for f, fid in zip(tracer._live_frames, tracer._live_ids)
+    }
     current: Optional[FrameType] = frame
     while current is not None:
-        if id(current) in live:
-            functions.append(tracer._function_id(current.f_code))
+        fid = live.get(id(current), _IN_REGION)
+        if fid != _IN_REGION:
+            functions.append(fid)
         current = current.f_back
     functions.append(ROOT_FUNCTION)
     functions.reverse()

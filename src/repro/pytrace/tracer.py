@@ -34,12 +34,14 @@ from ..core.errors import TraceError
 #: Function id reserved for the tracing root (the ``main`` node).
 ROOT_FUNCTION = 0
 
-#: Targeted-mode shadow-frame kinds: an in-plan frame, the frame that
-#: opened an untracked region (its call/return cross the boundary), and
-#: frames entirely inside such a region (zero engine events).
-_TRACKED = 0
-_REGION_OPEN = 1
-_REGION_INNER = 2
+#: ``_code_ids`` value for code the tracer never traces (see
+#: ``_PACKAGE_ROOT``, plus frozen stdlib helpers).
+_IGNORED = -4
+
+#: ``_live_ids`` entry for a frame inside an untracked region, below the
+#: frame that opened it (which holds ``UNTRACKED_FUNCTION``): its call
+#: and return reach the engine as zero events.
+_IN_REGION = -3
 
 #: The tracer never traces the repro package itself — its own engine
 #: calls (sampling, decoding) run while the profile hook is active.
@@ -89,20 +91,18 @@ class PythonDacceTracer:
         targeted: Optional[Any] = None,
     ):
         # Targeted mode (repro.static.targeted): the engine encodes only
-        # the plan's sink-reaching subgraph, and the tracer classifies
-        # each code object once — out-of-plan code gets no function id,
-        # no callsite mapping and (inside an untracked region) no engine
-        # events at all.  Under ``sys.setprofile`` the interpreter still
-        # invokes the hook, so the modeled saving is everything past the
-        # disposition-cache probe; a real deployment (sys.monitoring's
-        # per-code DISABLE, or binary patching as in the paper) would
-        # also skip the callback itself.
+        # the plan's sink-reaching subgraph, and out-of-plan code maps to
+        # ``UNTRACKED_FUNCTION`` — no function id, no callsite mapping
+        # and (inside an untracked region) no engine events at all.  Full
+        # tracing is the same path with no code out of plan.  Under
+        # ``sys.setprofile`` the interpreter still invokes the hook, so
+        # the modeled saving is everything past the ``_code_ids`` probe;
+        # a real deployment (sys.monitoring's per-code DISABLE, or binary
+        # patching as in the paper) would also skip the callback itself.
         self.targeted = targeted
         self._plan_fns: Optional[set] = None
         self.skipped_code_objects = 0
         self.suppressed_events = 0
-        self._disposition: Dict[CodeType, bool] = {}
-        self._frame_kinds: List[int] = []
         self._static_site: Dict[Tuple[int, int], int] = {}
         if targeted is not None:
             if targeted.warm_start.graph.root != ROOT_FUNCTION:
@@ -118,7 +118,7 @@ class PythonDacceTracer:
                 )
             if static_graph is None:
                 # The full analysed graph, so every statically known
-                # function resolves to its id for disposition checks.
+                # function resolves to its id for plan checks.
                 static_graph = targeted.report.graph
             self._plan_fns = set(targeted.functions)
             # Tracked-pair -> seeded static call site.  Emitting the
@@ -144,7 +144,10 @@ class PythonDacceTracer:
         self.wall_time = wall_time
         self.sample_weights: List[float] = []
         self._last_sample_time: Optional[float] = None
-        self._functions: Dict[CodeType, FunctionInfo] = {}
+        #: Every code object seen, classified once on first sight: its
+        #: function id, ``UNTRACKED_FUNCTION`` (out of the targeted plan)
+        #: or ``_IGNORED``.
+        self._code_ids: Dict[CodeType, int] = {}
         self._function_names: Dict[int, FunctionInfo] = {
             ROOT_FUNCTION: FunctionInfo(ROOT_FUNCTION, "<root>", "<tracer>", 0)
         }
@@ -192,8 +195,11 @@ class PythonDacceTracer:
                     default=0,
                 )
                 self._next_callsite = max(self._next_callsite, top_site + 1)
-        #: Frames we have emitted CallEvents for, bottom first.
+        #: Frames the hook has pushed, bottom first, and parallel to them
+        #: each frame's function id — ``UNTRACKED_FUNCTION`` for a frame
+        #: that opened an untracked region, ``_IN_REGION`` inside one.
         self._live_frames: List[FrameType] = []
+        self._live_ids: List[int] = []
         self._active = False
         self._calls_since_sample = 0
         self._base_frame: Optional[FrameType] = None
@@ -220,24 +226,43 @@ class PythonDacceTracer:
     # ------------------------------------------------------------------
     # identity mapping
     # ------------------------------------------------------------------
-    def _function_id(self, code: CodeType) -> int:
-        info = self._functions.get(code)
-        if info is None:
-            assigned = self._static_function_id(code)
-            if assigned is None:
-                assigned = self._next_function
-                self._next_function += 1
+    def _classify(self, code: CodeType) -> int:
+        """Map ``code`` to its ``_code_ids`` value (called once per code).
+
+        Out-of-plan code never gets a function id; ``skipped_code_objects``
+        counts it.
+        """
+        filename = code.co_filename
+        if filename.startswith(_PACKAGE_ROOT) or filename.startswith("<frozen"):
+            assigned = _IGNORED
+        else:
+            static_id = self._static_function_id(code)
+            if self._plan_fns is not None and static_id not in self._plan_fns:
+                assigned = UNTRACKED_FUNCTION
+                self.skipped_code_objects += 1
             else:
-                self.static_hits += 1
-            info = FunctionInfo(
-                assigned,
-                code.co_name,
-                code.co_filename,
-                code.co_firstlineno,
-            )
-            self._functions[code] = info
-            self._function_names[info.id] = info
-        return info.id
+                if static_id is None:
+                    assigned = self._next_function
+                    self._next_function += 1
+                else:
+                    assigned = static_id
+                    self.static_hits += 1
+                self._function_names[assigned] = FunctionInfo(
+                    assigned,
+                    code.co_name,
+                    filename,
+                    code.co_firstlineno,
+                )
+        self._code_ids[code] = assigned
+        return assigned
+
+    @property
+    def _functions(self) -> Dict[CodeType, FunctionInfo]:
+        """Each traced code object with its identity."""
+        names = self._function_names
+        return {
+            code: names[fid] for code, fid in self._code_ids.items() if fid >= 0
+        }
 
     def _static_function_id(self, code: CodeType) -> Optional[int]:
         """The static id of ``code``, when a static mapping is loaded.
@@ -260,24 +285,6 @@ class PythonDacceTracer:
         return self._static_ids.get(
             (module, code.co_name, code.co_firstlineno)
         )
-
-    def _code_disposition(self, code: CodeType) -> bool:
-        """Whether ``code`` is inside the targeted plan (cached).
-
-        Each code object is classified exactly once; out-of-plan code
-        never gets a function id or call-site allocation.  Everything
-        past this cache probe — id mapping, event construction, engine
-        work — is what targeted mode skips for untracked code.
-        """
-        tracked = self._disposition.get(code)
-        if tracked is None:
-            assert self._plan_fns is not None
-            static_id = self._static_function_id(code)
-            tracked = static_id is not None and static_id in self._plan_fns
-            self._disposition[code] = tracked
-            if not tracked:
-                self.skipped_code_objects += 1
-        return tracked
 
     def _callsite_id(self, caller: int, lasti: int) -> int:
         key = (caller, lasti)
@@ -322,11 +329,10 @@ class PythonDacceTracer:
         self._active = False
         # Synthetically unwind frames that are still live (the traced
         # call may terminate via an exception caught above us).
-        while self._live_frames:
+        while self._live_ids:
             self._live_frames.pop()
-            if self._frame_kinds and self._frame_kinds.pop() == _REGION_INNER:
-                continue
-            self._columns.push_return(0)
+            if self._live_ids.pop() != _IN_REGION:
+                self._columns.push_return(0)
         self.flush()
         self._base_frame = None
 
@@ -355,112 +361,50 @@ class PythonDacceTracer:
         # transition we need to encode.
 
     def _on_call(self, frame: FrameType) -> None:
-        filename = frame.f_code.co_filename
-        if filename.startswith(_PACKAGE_ROOT) or filename.startswith("<frozen"):
+        code = frame.f_code
+        callee_id = self._code_ids.get(code)
+        if callee_id is None:
+            callee_id = self._classify(code)
+        if callee_id == _IGNORED:
             return  # never trace the tracer/engine machinery itself
-        if self._plan_fns is not None:
-            self._on_call_targeted(frame)
-            return
-        parent = frame.f_back
-        if self._live_frames:
-            if parent is not self._live_frames[-1]:
-                # A call from outside the traced stack (e.g. a callback
-                # from C code whose Python parent we never saw): skip it
-                # and everything below it would desynchronise — attach
-                # it to the current top instead.
-                caller_id = self._function_id(self._live_frames[-1].f_code)
-            else:
-                caller_id = self._function_id(parent.f_code)
-            lasti = parent.f_lasti if parent is not None else 0
-        else:
+        ids = self._live_ids
+        if not ids:
             caller_id = ROOT_FUNCTION
             lasti = 0
-        callee_id = self._function_id(frame.f_code)
-        callsite = self._callsite_id(caller_id, lasti)
-        self._columns.push_call(0, callsite, caller_id, callee_id)
-        self._live_frames.append(frame)
-        if self.sample_every:
-            self._calls_since_sample += 1
-            if self._calls_since_sample >= self.sample_every:
-                self._calls_since_sample = 0
-                self._record_sample()
-        if len(self._columns) >= self._buffer_limit:
-            self.flush()
-
-    def _on_call_targeted(self, frame: FrameType) -> None:
-        kinds = self._frame_kinds
-        in_region = bool(kinds) and kinds[-1] != _TRACKED
-        if self._code_disposition(frame.f_code):
-            if in_region:
+        else:
+            caller_id = ids[-1]
+            if caller_id >= 0:
+                # The traced caller's own offset: the call may have come
+                # through untraced frames (a frozen helper, repro code)
+                # whose ``f_lasti`` names no site in the caller.
+                lasti = self._live_frames[-1].f_lasti
+            elif callee_id == UNTRACKED_FUNCTION:
+                # Interior of an untracked region: zero engine events.
+                # With per-code DISABLE (sys.monitoring) or binary
+                # patching the interpreter would not even call the hook.
+                self._live_frames.append(frame)
+                ids.append(_IN_REGION)
+                self.suppressed_events += 1
+                return
+            else:
                 # Re-entry from an untracked region: the true call path
                 # passed through unencoded code, so the caller is the
                 # merged ``<untracked>`` pseudo-function (the engine
                 # pushes the boundary ccStack entry Algorithm 1 needs).
                 caller_id = UNTRACKED_FUNCTION
                 lasti = 0
-            else:
-                parent = frame.f_back
-                if self._live_frames:
-                    if parent is not self._live_frames[-1]:
-                        caller_id = self._function_id(
-                            self._live_frames[-1].f_code
-                        )
-                    else:
-                        caller_id = self._function_id(parent.f_code)
-                    lasti = parent.f_lasti if parent is not None else 0
-                else:
-                    caller_id = ROOT_FUNCTION
-                    lasti = 0
-            callee_id = self._function_id(frame.f_code)
-            kind = _TRACKED
-            if caller_id != UNTRACKED_FUNCTION:
-                site = self._static_site.get((caller_id, callee_id))
-                if site is not None:
-                    self._emit_targeted(frame, site, caller_id, callee_id, kind)
-                    return
-        elif in_region:
-            # Interior of an untracked region: zero engine events.  This
-            # is the tracer-side saving of targeted mode — with per-code
-            # DISABLE (sys.monitoring) or binary patching the
-            # interpreter would not even invoke the hook here.
-            self._live_frames.append(frame)
-            kinds.append(_REGION_INNER)
-            self.suppressed_events += 1
-            return
-        else:
-            # Departure into untracked code: one boundary event opens
-            # the region, attributed to the real call site in the
-            # tracked caller; everything beneath it is suppressed.
-            if self._live_frames:
-                top = self._live_frames[-1]
-                caller_id = self._function_id(top.f_code)
-                parent = frame.f_back
-                lasti = parent.f_lasti if parent is top else 0
-            else:
-                caller_id = ROOT_FUNCTION
-                lasti = 0
-            callee_id = UNTRACKED_FUNCTION
-            kind = _REGION_OPEN
-        self._emit_targeted(
-            frame,
-            self._callsite_id(caller_id, lasti),
-            caller_id,
-            callee_id,
-            kind,
+        site = (
+            self._static_site.get((caller_id, callee_id))
+            if self._static_site
+            else None
         )
-
-    def _emit_targeted(
-        self,
-        frame: FrameType,
-        callsite: int,
-        caller_id: int,
-        callee_id: int,
-        kind: int,
-    ) -> None:
-        """Common tail of every event-emitting targeted call path."""
-        self._columns.push_call(0, callsite, caller_id, callee_id)
+        if site is None:
+            site = self._callsite_id(caller_id, lasti)
+        self._columns.push_call(0, site, caller_id, callee_id)
         self._live_frames.append(frame)
-        self._frame_kinds.append(kind)
+        # An out-of-plan callee here is a departure: its
+        # ``UNTRACKED_FUNCTION`` entry opens an untracked region.
+        ids.append(callee_id)
         if self.sample_every:
             self._calls_since_sample += 1
             if self._calls_since_sample >= self.sample_every:
@@ -470,15 +414,13 @@ class PythonDacceTracer:
             self.flush()
 
     def _on_return(self, frame: FrameType) -> None:
-        if not self._live_frames:
+        frames = self._live_frames
+        if not frames or frames[-1] is not frame:
+            return  # return of an untraced frame
+        frames.pop()
+        if self._live_ids.pop() == _IN_REGION:
+            self.suppressed_events += 1
             return
-        if self._live_frames[-1] is not frame:
-            return  # return of an untracked frame
-        self._live_frames.pop()
-        if self._frame_kinds:
-            if self._frame_kinds.pop() == _REGION_INNER:
-                self.suppressed_events += 1
-                return
         self._columns.push_return(0)
         if len(self._columns) >= self._buffer_limit:
             self.flush()

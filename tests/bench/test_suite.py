@@ -110,3 +110,12 @@ def test_x264_is_indirect_heavy():
     benchmark = full_suite().get("x264")
     assert benchmark.indirect_targets[1] >= 10
     assert benchmark.indirect_fraction > 0.1
+
+
+def test_derived_seeds_do_not_depend_on_the_hash_seed():
+    # Pinned values: a per-process salted hash(name) would move them
+    # (and the generated program) from one interpreter run to the next.
+    gcc = full_suite().get("403.gcc")
+    assert gcc.name_seed == 3030750954
+    assert gcc.generator_config(0.4).seed == 50954
+    assert gcc.workload_spec(seed=1).seed == 955

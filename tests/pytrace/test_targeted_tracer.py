@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.ccstack import UNTRACKED_FUNCTION
 from repro.core.errors import TraceError
-from repro.pytrace import PythonDacceTracer
+from repro.pytrace import PythonDacceTracer, contexts_agree, walk_stack
 from repro.pytrace.tracer import ROOT_FUNCTION
 from repro.static.pyextract import FunctionIndex, extract_package
 from repro.static.targeted import build_targeted
@@ -171,3 +171,26 @@ def test_targeted_requires_tracer_root_and_source_root(project):
     good_plan = build_targeted(graph, ["sink_op"], root=ROOT_FUNCTION)
     with pytest.raises(TraceError):
         PythonDacceTracer(targeted=good_plan)
+
+
+def test_walk_inside_untracked_region_agrees_and_assigns_no_ids(project):
+    root, graph, module = project
+    _plan, tracer = _targeted_tracer(root, graph)
+    helper_b = module.helper_b
+    probes = []
+
+    def probed_helper_b(i):
+        # Runs under main -> churn -> shuffle, all inside the region
+        # churn opened.
+        before = tracer.num_functions
+        probes.append((tracer.sample(), walk_stack(tracer)))
+        assert tracer.num_functions == before
+        return helper_b(i)
+
+    module.helper_b = probed_helper_b
+    tracer.run(module.main)
+    assert probes
+    for sample, walked in probes:
+        decoded = tracer.decode(sample)
+        assert decoded.functions()[-1] == UNTRACKED_FUNCTION
+        assert contexts_agree(decoded, walked)

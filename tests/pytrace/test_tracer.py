@@ -200,3 +200,30 @@ def test_buffered_tracer_flushes_through_batches():
     assert tracer.engine.fastpath.batches > 0
     stats = tracer.engine.stats
     assert stats.calls == stats.returns > 0
+
+
+def test_call_through_untraced_frame_keys_by_traced_caller_offset():
+    # relay's code claims a frozen filename, so the tracer never traces
+    # it; target's Python parent is then relay, not caller.
+    namespace = {}
+    exec(
+        compile("def relay(f):\n    return f()\n", "<frozen relay>", "exec"),
+        namespace,
+    )
+    relay = namespace["relay"]
+    tracer = PythonDacceTracer()
+
+    def target():
+        return 1
+
+    def caller():
+        relay(target)
+        return relay(target)
+
+    tracer.run(caller)
+    caller_id = next(
+        info.id for info in tracer._functions.values() if info.name == "caller"
+    )
+    # One call site per call line in caller, not one for relay's line.
+    keys = [key for key in tracer._callsites if key[0] == caller_id]
+    assert len(keys) == 2
