@@ -1,20 +1,26 @@
 """Live telemetry for a DACCE run, rendered as a terminal dashboard.
 
 Runs a phase-shifting multi-threaded synthetic workload with the
-telemetry layer enabled, then renders what the metrics registry, the
-structured trace and the re-encoding pass reports captured:
+telemetry layer and span tracing enabled, then renders what the
+metrics registry, the engine's span records and the re-encoding pass
+reports captured:
 
 * event throughput and indirect-dispatch hit rate,
 * the ccStack depth histogram (the Figure 10 signal, live),
 * one line per re-encoding pass: which Section 4 trigger fired, what
-  the pass changed, and what it cost.
+  the pass changed, and what it cost,
+* a count of the engine's span records by name.
 
 Everything shown here is also available machine-readable via
-``telemetry.to_prometheus()`` / ``telemetry.to_json()`` or the
-``dacce metrics`` / ``dacce trace`` commands.
+``telemetry.to_prometheus()`` / ``telemetry.to_json()`` / the span
+recorder's JSONL stream, or the ``dacce metrics`` / ``dacce trace``
+commands.
 """
 
+from collections import Counter
+
 from repro import DacceEngine, GeneratorConfig, Telemetry, generate_program
+from repro.obs import SpanRecorder
 from repro.program.trace import (
     PhaseSpec,
     ThreadSpec,
@@ -48,7 +54,8 @@ def main() -> None:
     )
 
     telemetry = Telemetry()
-    engine = DacceEngine(root=program.main, telemetry=telemetry)
+    spans = SpanRecorder("engine")
+    engine = DacceEngine(root=program.main, telemetry=telemetry, spans=spans)
     for event in TraceExecutor(program, spec).events():
         engine.on_event(event)
 
@@ -106,9 +113,10 @@ def main() -> None:
         "\ntrigger totals: %s"
         % "  ".join("%s=%d" % item for item in sorted(counts.items()))
     )
+    names = Counter(record["name"] for record in spans.spans())
     print(
-        "trace: %d structured records emitted (%d retained)"
-        % (telemetry.trace.emitted, len(telemetry.trace))
+        "spans: %d engine records (%s)"
+        % (spans.emitted, "  ".join("%s=%d" % item for item in sorted(names.items())))
     )
 
 

@@ -9,15 +9,15 @@ Examples::
     dacce validate --seeds 5
     dacce experiments --output EXPERIMENTS.md   # full paper-vs-measured report
     dacce metrics --calls 20000                 # Prometheus-format telemetry
-    dacce trace --calls 20000 --limit 30        # structured JSONL engine trace
-    dacce trace --input run/trace.jsonl --follow    # live tail (rotation-safe)
+    dacce trace --calls 20000 --limit 30        # engine events as span JSONL
+    dacce trace --input run/spans.jsonl --follow    # live tail (rotation-safe)
     dacce spans report --input spans.jsonl      # per-stage latency summary
     dacce spans waterfall --input producer.jsonl ingest.jsonl   # trace tree
     dacce doctor --state run.state.json --log run.log   # integrity check
     dacce profile record --prefix prof          # sampled profiling run
     dacce profile flame --state prof.state.json --log prof.log \
         --output prof.folded                    # flamegraph.pl input
-    dacce profile serve --port 8787 --duration 30   # live profile server
+    dacce profile serve --port 8787 --duration 30   # live profile (IngestServer)
 """
 
 from __future__ import annotations
@@ -828,8 +828,14 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """Run an instrumented workload; emit the structured JSONL trace."""
-    from .obs import Telemetry
+    """Run a span-traced workload; print the engine's span records.
+
+    Engine events are ``dacce.spans.v1`` records with stage ``engine``
+    (one ``engine.reencode`` per committed pass, thread start/exit,
+    promotions, faults), so ``--input`` reads this output and any other
+    span log alike.
+    """
+    from .obs import SpanRecorder
     from .program.trace import TraceExecutor
 
     if args.input:
@@ -878,25 +884,23 @@ def cmd_trace(args) -> int:
     except OSError as error:
         return _fault("trace output unwritable: %s" % error)
     try:
-        telemetry = Telemetry(trace_stream=handle)
-        engine = DacceEngine(root=program.main, telemetry=telemetry)
+        spans = SpanRecorder("engine", stream=handle)
+        engine = DacceEngine(root=program.main, spans=spans)
         for event in TraceExecutor(program, spec).events():
             engine.on_event(event)
     finally:
         if handle is not None:
             handle.close()
     if args.output:
-        print(
-            "wrote %d trace records to %s"
-            % (telemetry.trace.emitted, args.output)
-        )
+        print("wrote %d trace records to %s" % (spans.emitted, args.output))
     else:
+        records = spans.spans()
         shown = 0
-        for record in telemetry.trace.events():
+        for record in records:
             if args.limit and shown >= args.limit:
                 print(
                     "... (%d more retained, %d emitted)"
-                    % (len(telemetry.trace) - shown, telemetry.trace.emitted)
+                    % (len(records) - shown, spans.emitted)
                 )
                 break
             print(json.dumps(record))
@@ -1098,31 +1102,33 @@ def cmd_profile_diff(args) -> int:
 
 
 def cmd_profile_serve(args) -> int:
-    """Serve a live profile of a continuously running synthetic workload."""
+    """Serve a live profile of a continuously running synthetic workload.
+
+    The looping engine feeds an in-process :class:`IngestService`
+    through a :class:`FrameEmitter`: after each workload pass the
+    emitter's frames are folded into the service, and
+    :class:`IngestServer` serves the result.  The engine's metrics sit
+    on the service's registry, so one ``/metrics`` carries both.
+    """
     from dataclasses import replace
 
     from .core.engine import DacceConfig
-    from .obs import RotatingTraceStream, Telemetry
-    from .prof import CCTAggregator, ProfileServer, ProfileService, names_from_program
+    from .ingest import FrameEmitter, IngestServer, IngestService, MemorySink
+    from .obs import Telemetry
     from .program.trace import run_workload_columnar
 
-    from .obs.trace import DEFAULT_ROTATE_BACKUPS, DEFAULT_ROTATE_BYTES
+    spans = None
+    span_stream = None
+    if args.span_log:
+        # One recorder for the whole in-process pipeline: engine events,
+        # emitter flushes and the service's admit/fold/publish spans.
+        from .obs import RotatingTraceStream, SpanRecorder
 
-    trace_stream = None
-    if args.trace_output:
         try:
-            trace_stream = RotatingTraceStream(
-                args.trace_output,
-                max_bytes=(args.trace_max_bytes
-                           if args.trace_max_bytes is not None
-                           else DEFAULT_ROTATE_BYTES),
-                max_age_seconds=args.trace_max_age,
-                backups=(args.trace_backups
-                         if args.trace_backups is not None
-                         else DEFAULT_ROTATE_BACKUPS),
-            )
+            span_stream = RotatingTraceStream(args.span_log)
         except (OSError, ValueError) as error:
-            return _fault("trace output unwritable: %s" % error)
+            return _fault("span log unwritable: %s" % error)
+        spans = SpanRecorder("profile", stream=span_stream)
 
     program, _ = _telemetry_workload(args)
     spec = WorkloadSpec(
@@ -1131,25 +1137,35 @@ def cmd_profile_serve(args) -> int:
         sample_period=0,
         recursion_affinity=0.4,
     )
-    telemetry = Telemetry(trace_stream=trace_stream)
-    # Hook samples feed the CCT; nothing needs retaining on the engine.
+    service = IngestService(spans=spans)
+    # Hook samples travel as frames; nothing needs retaining on the engine.
     engine = DacceEngine(
         root=program.main,
         config=DacceConfig(retain_samples=False),
-        telemetry=telemetry,
+        telemetry=Telemetry(registry=service.registry),
+        spans=spans,
     )
-    aggregator = CCTAggregator(names=names_from_program(program))
+    sink = MemorySink()
+    emitter = FrameEmitter(
+        sink, run="profile", producer="dacce-profile-serve", spans=spans
+    )
+    emitter.attach(
+        engine,
+        every=args.sample_every,
+        names={fn.id: fn.name for fn in program.functions()},
+    )
 
-    def deliver(sample, weight) -> None:
-        aggregator.decoder = engine.decoder()
-        aggregator.add_sample(sample, weight)
+    def deliver() -> None:
+        emitter.flush()
+        lines = sink.lines[:]
+        del sink.lines[:]
+        service.ingest_lines("profile", lines)
 
-    engine.install_sample_hook(args.sample_every, deliver)
-    service = ProfileService(aggregator, engine=engine, telemetry=telemetry)
     try:
-        server = ProfileServer(service, host=args.host, port=args.port)
+        server = IngestServer(service, host=args.host, port=args.port)
     except OSError as error:
         return _fault("cannot bind %s:%d: %s" % (args.host, args.port, error))
+    deliver()  # run.start: names resolve from the first sample on
     server.start()
     print("profile server listening on %s" % server.url, flush=True)
 
@@ -1161,17 +1177,18 @@ def cmd_profile_serve(args) -> int:
                 program, replace(spec, seed=spec.seed + passes), engine
             )
             passes += 1
+            deliver()
     except KeyboardInterrupt:
         pass
     finally:
         server.shutdown()
-        if trace_stream is not None:
-            trace_stream.close()
-    stats = aggregator.stats()
+        if spans is not None:
+            spans.flush()
+            span_stream.close()
+    health = service.healthz()
     print(
-        "served %d workload pass(es): %d samples into %d CCT nodes "
-        "across %d epoch(s)"
-        % (passes, stats["samples"], stats["nodes"], stats["epochs"])
+        "served %d workload pass(es): %d samples, total weight %g"
+        % (passes, health["samples"], health["weight"])
     )
     return 0
 
@@ -1707,7 +1724,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser(
         "trace",
-        help="run an instrumented workload; print the JSONL engine trace",
+        help="run a span-traced workload; print the engine's "
+             "dacce.spans.v1 records",
     )
     p.add_argument("--calls", type=int, default=20_000)
     p.add_argument("--seed", type=int, default=1)
@@ -1716,7 +1734,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--output", default=None,
                    help="stream JSONL records to this path instead")
     p.add_argument("--input", default=None,
-                   help="print an existing JSONL trace (reads rotated "
+                   help="print an existing span log (reads rotated "
                         "shards PATH.N..PATH.1 then PATH, oldest first) "
                         "instead of running a workload")
     p.add_argument("--follow", action="store_true",
@@ -1800,12 +1818,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--sample-every", type=int, default=64)
     p.add_argument("--duration", type=float, default=0.0,
                    help="stop after this many seconds (0 = until Ctrl-C)")
-    p.add_argument("--trace-output", default=None,
-                   help="mirror the engine trace to this JSONL file "
-                        "(size/age-rotated)")
-    p.add_argument("--trace-max-bytes", type=int, default=None)
-    p.add_argument("--trace-max-age", type=float, default=0.0)
-    p.add_argument("--trace-backups", type=int, default=None)
+    p.add_argument("--span-log", default=None,
+                   help="record engine events, emitter flushes and "
+                        "service spans to this rotated JSONL file")
     p.set_defaults(fn=cmd_profile_serve)
 
     p = sub.add_parser(

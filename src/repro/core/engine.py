@@ -995,7 +995,7 @@ class DacceEngine:
         recovery: RecoveryAction = RecoveryAction.DROPPED,
         **detail,
     ) -> FaultRecord:
-        """Append one fault to the bounded log; mirror it to telemetry."""
+        """Append one fault to the bounded log; mirror it as a span."""
         record = FaultRecord(
             kind=kind,
             message=message,
@@ -1008,9 +1008,10 @@ class DacceEngine:
         )
         self.faults.record(record)
         logger.debug("quarantined fault: %s", message)
-        if self._obs:
-            self.telemetry.emit(
-                "fault",
+        if self.spans.enabled:
+            self.spans.record(
+                "engine.fault",
+                stage="engine",
                 kind=kind.value,
                 thread=thread,
                 gts=self._timestamp,
@@ -1239,13 +1240,15 @@ class DacceEngine:
                 "to decode: %s",
                 sample.timestamp, sample.context_id, thread, error,
             )
-            self.telemetry.emit(
-                "validation-failure",
-                thread=thread,
-                gts=sample.timestamp,
-                context_id=sample.context_id,
-                mode="undecodable",
-            )
+            if self.spans.enabled:
+                self.spans.record(
+                    "engine.validation_failure",
+                    stage="engine",
+                    thread=thread,
+                    gts=sample.timestamp,
+                    context_id=sample.context_id,
+                    mode="undecodable",
+                )
             return
         expected = self.expected_context(thread)
         if [s.function for s in decoded.steps] != [
@@ -1257,13 +1260,15 @@ class DacceEngine:
                 "from the shadow stack (gTS=%d, id=%d)",
                 thread, sample.timestamp, sample.context_id,
             )
-            self.telemetry.emit(
-                "validation-failure",
-                thread=thread,
-                gts=sample.timestamp,
-                context_id=sample.context_id,
-                mode="mismatch",
-            )
+            if self.spans.enabled:
+                self.spans.record(
+                    "engine.validation_failure",
+                    stage="engine",
+                    thread=thread,
+                    gts=sample.timestamp,
+                    context_id=sample.context_id,
+                    mode="mismatch",
+                )
 
     def on_thread_start(self, event: ThreadStartEvent) -> None:
         if event.thread in self._threads:
@@ -1306,11 +1311,12 @@ class DacceEngine:
         )
         self.graph.add_node(event.entry)
         self._threads[event.thread] = state
-        if self._obs:
-            self.telemetry.emit(
-                "thread-start",
+        if self.spans.enabled:
+            self.spans.record(
+                "engine.thread_start",
+                stage="engine",
                 thread=event.thread,
-                parent=event.parent,
+                parent_thread=event.parent,
                 entry=event.entry,
                 gts=self._timestamp,
             )
@@ -1335,9 +1341,10 @@ class DacceEngine:
             self._retired_ccstack["max_depth"], stats.max_depth
         )
         del self._threads[event.thread]
-        if self._obs:
-            self.telemetry.emit(
-                "thread-exit",
+        if self.spans.enabled:
+            self.spans.record(
+                "engine.thread_exit",
+                stage="engine",
                 thread=event.thread,
                 gts=self._timestamp,
                 ccstack_pushes=stats.pushes,
@@ -1970,36 +1977,40 @@ class DacceEngine:
             self._timestamp, self.stats.calls, ",".join(reasons),
             self.graph.num_edges, self._current.max_id,
         )
-        span_field = None
-        if pass_span is not None:
-            pass_span.set(gts=self._timestamp, max_id=self._current.max_id)
-            pass_span.__exit__(None, None, None)
-            span_field = {
-                "trace": pass_span.trace_id,
-                "span": pass_span.span_id,
-            }
-        if self._obs:
-            self.telemetry.record_pass(
-                ReencodePassReport(
-                    timestamp=self._timestamp,
-                    reasons=tuple(reasons),
-                    at_call=self.stats.calls,
-                    nodes=self.graph.num_nodes,
-                    edges=self.graph.num_edges,
-                    edges_reclassified=edges_reclassified,
-                    new_edges=new_edges,
-                    encoded_edges=self._current.num_encoded_edges,
-                    max_id=self._current.max_id,
-                    previous_max_id=previous_max_id,
-                    threads_regenerated=len(self._threads),
-                    indirect_sites_patched=sites_patched,
-                    compressed_edges=len(compressed_edges),
-                    duration_seconds=time.perf_counter() - started,
-                    cost_cycles=cost,
-                    window=decision.window_dict() if decision else None,
-                    span=span_field,
-                )
+        if self._obs or pass_span is not None:
+            report = ReencodePassReport(
+                timestamp=self._timestamp,
+                reasons=tuple(reasons),
+                at_call=self.stats.calls,
+                nodes=self.graph.num_nodes,
+                edges=self.graph.num_edges,
+                edges_reclassified=edges_reclassified,
+                new_edges=new_edges,
+                encoded_edges=self._current.num_encoded_edges,
+                max_id=self._current.max_id,
+                previous_max_id=previous_max_id,
+                threads_regenerated=len(self._threads),
+                indirect_sites_patched=sites_patched,
+                compressed_edges=len(compressed_edges),
+                duration_seconds=time.perf_counter() - started,
+                cost_cycles=cost,
+                window=decision.window_dict() if decision else None,
+                span=(
+                    {"trace": pass_span.trace_id, "span": pass_span.span_id}
+                    if pass_span is not None
+                    else None
+                ),
             )
+            if pass_span is not None:
+                # The span is the pass's one record: the report's fields
+                # ride along as attrs (``reasons`` stays the joined
+                # string the span opened with).
+                attrs = report.to_dict()
+                del attrs["reasons"], attrs["span"]
+                pass_span.set(gts=self._timestamp, **attrs)
+                pass_span.__exit__(None, None, None)
+            if self._obs:
+                self.telemetry.record_pass(report)
         return True
 
     def _skip_no_effect_pass(
@@ -2072,7 +2083,7 @@ class DacceEngine:
         """Install per-site target sets ordered hottest-first (Figure 3(d)).
 
         Returns the number of sites patched; promotions to the hash
-        strategy (Figure 4) are traced when telemetry is enabled.
+        strategy (Figure 4) are recorded as spans when tracing is on.
         """
         by_site: Dict[CallSiteId, List[CallEdge]] = {}
         for edge in self.graph.edges():
@@ -2084,9 +2095,10 @@ class DacceEngine:
                 [e.callee for e in ordered],
                 hash_threshold=self.config.hash_threshold,
             )
-            if promoted and self._obs:
-                self.telemetry.emit(
-                    "indirect-promotion",
+            if promoted and self.spans.enabled:
+                self.spans.record(
+                    "engine.indirect_promotion",
+                    stage="engine",
                     callsite=callsite,
                     targets=len(ordered),
                     gts=self._timestamp,

@@ -1,8 +1,9 @@
 """HTTP front-end for the ingestion service: POST frames, stream events.
 
-Stdlib-only (``http.server``), mirroring the profile server's shape: a
-transport-free :class:`IngestService` does all the work and the handler
-just maps routes.  Endpoints:
+Stdlib-only (``http.server``): a transport-free :class:`IngestService`
+does all the work and the handler just maps routes.  It is the repo's
+one HTTP server — ``dacce serve`` fronts many producers with it, and
+``dacce profile serve`` feeds it from one in-process engine.  Endpoints:
 
 * ``POST /ingest?run=<id>`` — NDJSON frame lines in the body; responds
   with the per-batch ingest summary as JSON.
@@ -15,19 +16,21 @@ just maps routes.  Endpoints:
 * ``GET /runs/<id>/events`` — the canonical ``events.ndjson`` log as an
   NDJSON download.
 * ``GET /cct`` / ``/flame`` / ``/top`` / ``/metrics`` / ``/healthz`` —
-  the merged many-producer view, same documents the profile server
-  serves for a single in-process engine.
+  the merged view over every run folded so far.
 * ``GET /spans`` — recent service-side spans plus per-stage timing
   histograms (span-id exemplars included); see docs/OBSERVABILITY.md.
 
 Every response carries an explicit ``Content-Type`` and
 ``Cache-Control: no-store``; unknown routes return a structured JSON
-404.
+404, malformed input (a non-integer query value, a missing, non-integer
+or negative ``Content-Length``) a JSON 400, and a route that raises a
+logged JSON 500.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import queue
 import threading
 import time
@@ -38,12 +41,32 @@ from urllib.parse import parse_qs, urlparse
 from .envelope import Envelope
 from .service import IngestError, IngestService
 
+logger = logging.getLogger(__name__)
+
 #: Seconds between SSE keep-alive comments when no events arrive.
 SSE_KEEPALIVE_SECONDS = 15.0
 
 
 def _json_body(obj: Any) -> Tuple[str, str]:
     return "application/json", json.dumps(obj, indent=2) + "\n"
+
+
+class _BadRequest(ValueError):
+    """Malformed request input; answered with a JSON 400."""
+
+
+def _int_param(query: Dict[str, Any], name: str, default: int) -> int:
+    raw = query.get(name, [str(default)])[0]
+    try:
+        return int(raw)
+    except ValueError:
+        raise _BadRequest(
+            "query parameter %s=%r is not an integer" % (name, raw)
+        )
+
+
+def _bad_request(detail: str) -> Tuple[int, str, str]:
+    return 400, *_json_body({"error": "bad-request", "detail": detail})
 
 
 def _not_found(path: str) -> Tuple[int, str, str]:
@@ -99,7 +122,22 @@ class _IngestHandler(BaseHTTPRequestHandler):
             return
         query = parse_qs(parsed.query)
         run_id = query.get("run", ["default"])[0]
-        length = int(self.headers.get("Content-Length", "0"))
+        header = self.headers.get("Content-Length")
+        try:
+            length = int(header) if header is not None else -1
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Checked before admission: a negative reservation would
+            # loosen the backlog bound for every concurrent POST.
+            self._send(
+                *_bad_request(
+                    "Content-Length must be a non-negative integer, got %r"
+                    % header
+                ),
+                extra_headers={"Connection": "close"},
+            )
+            return
         admitted, retry_after = self.service.admit(length)
         if not admitted:
             # Overload: shed the request before reading its body.  The
@@ -136,10 +174,10 @@ class _IngestHandler(BaseHTTPRequestHandler):
                     admit_seconds=admit_seconds,
                 )
             except IngestError as error:
-                self._send(
-                    400,
-                    *_json_body({"error": "bad-request", "detail": str(error)}),
-                )
+                self._send(*_bad_request(str(error)))
+                return
+            except Exception:
+                self._send(*self._route_failed(parsed.path))
                 return
             self._send(200, *_json_body(summary))
         finally:
@@ -150,14 +188,31 @@ class _IngestHandler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         query = parse_qs(parsed.query)
         path = parsed.path
-        if path == "/events":
-            self._stream_events(query)
-            return
         if path.startswith("/runs/") and path.endswith("/events"):
             self._download_run(path[len("/runs/"):-len("/events")])
             return
-        status, content_type, body = self._document(path, query)
-        self._send(status, content_type, body)
+        try:
+            if path == "/events":
+                limit = _int_param(query, "limit", 0)
+                backlog = _int_param(query, "backlog", 0)
+                response = None
+            else:
+                response = self._document(path, query)
+        except _BadRequest as error:
+            response = _bad_request(str(error))
+        except Exception:
+            response = self._route_failed(path)
+        if response is None:
+            self._stream_events(query.get("run", [None])[0], limit, backlog)
+        else:
+            self._send(*response)
+
+    @staticmethod
+    def _route_failed(path: str) -> Tuple[int, str, str]:
+        logger.exception("ingest route %s failed", path)
+        return 500, *_json_body(
+            {"error": "internal", "detail": "see the server log", "path": path}
+        )
 
     def _document(
         self, path: str, query: Dict[str, Any]
@@ -182,14 +237,12 @@ class _IngestHandler(BaseHTTPRequestHandler):
         if path == "/flame":
             return 200, "text/plain; charset=utf-8", service.flame_text()
         if path == "/top":
-            n = int(query.get("n", ["10"])[0])
+            n = _int_param(query, "n", 10)
             by = query.get("by", ["self"])[0]
             try:
                 rows = service.top_rows(n=n, by=by)
             except ValueError as error:
-                return 400, *_json_body(
-                    {"error": "bad-request", "detail": str(error)}
-                )
+                return _bad_request(str(error))
             return 200, *_json_body(rows)
         if path == "/metrics":
             return (
@@ -198,7 +251,7 @@ class _IngestHandler(BaseHTTPRequestHandler):
                 service.metrics_text(),
             )
         if path == "/spans":
-            limit = int(query.get("limit", ["512"])[0])
+            limit = _int_param(query, "limit", 512)
             return 200, "application/json", service.spans_json(limit=limit)
         if path == "/runs":
             return 200, *_json_body(service.runs())
@@ -223,10 +276,9 @@ class _IngestHandler(BaseHTTPRequestHandler):
             body = ""
         self._send(200, "application/x-ndjson", body)
 
-    def _stream_events(self, query: Dict[str, Any]) -> None:
-        run = query.get("run", [None])[0]
-        limit = int(query.get("limit", ["0"])[0])
-        backlog = int(query.get("backlog", ["0"])[0])
+    def _stream_events(
+        self, run: Optional[str], limit: int, backlog: int
+    ) -> None:
         subscriber = self.service.subscribe(run=run, backlog=backlog)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
@@ -290,6 +342,9 @@ class IngestServer:
         return "http://%s:%d" % (self.host, self.port)
 
     def start(self) -> "IngestServer":
+        """Serve on a daemon thread; returns self for chaining."""
+        if self._thread is not None:
+            raise RuntimeError("ingest server already started")
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="dacce-ingest-server",

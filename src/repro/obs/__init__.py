@@ -1,9 +1,11 @@
-"""Unified observability layer: metrics, traces, pass reports.
+"""Unified observability layer: metrics, spans, pass reports.
 
-See :mod:`repro.obs.registry` (instruments), :mod:`repro.obs.trace`
-(structured JSONL event stream), :mod:`repro.obs.report` (re-encoding
-pass reports), :mod:`repro.obs.exporters` (Prometheus / JSON rendering)
-and :mod:`repro.obs.telemetry` (the engine-facing facade).
+See :mod:`repro.obs.registry` (instruments), :mod:`repro.obs.spans`
+(the one event stream: timed spans and zero-duration engine events,
+schema ``dacce.spans.v1``), :mod:`repro.obs.trace` (rotating JSONL
+files, read-back and tail), :mod:`repro.obs.report` (re-encoding pass
+reports), :mod:`repro.obs.exporters` (Prometheus / JSON rendering) and
+:mod:`repro.obs.telemetry` (the engine-facing metrics facade).
 """
 
 from .exporters import (
@@ -41,9 +43,7 @@ from .telemetry import NULL_TELEMETRY, Telemetry, TelemetryConfig
 from .trace import (
     DEFAULT_ROTATE_BACKUPS,
     DEFAULT_ROTATE_BYTES,
-    DEFAULT_TRACE_CAPACITY,
     RotatingTraceStream,
-    TraceEmitter,
     follow_rotated_jsonl,
     read_rotated_jsonl,
     rotated_files,
@@ -56,7 +56,6 @@ __all__ = [
     "DEFAULT_ROTATE_BACKUPS",
     "DEFAULT_ROTATE_BYTES",
     "DEFAULT_SPAN_CAPACITY",
-    "DEFAULT_TRACE_CAPACITY",
     "RotatingTraceStream",
     "Gauge",
     "Histogram",
@@ -75,7 +74,6 @@ __all__ = [
     "SpanRecorder",
     "Telemetry",
     "TelemetryConfig",
-    "TraceEmitter",
     "build_waterfall",
     "follow_rotated_jsonl",
     "group_traces",

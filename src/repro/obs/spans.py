@@ -11,7 +11,12 @@ recorder, so a single ``trace_id`` covers emit → spool/send → admit →
 fold → publish even though the halves run in different processes and
 write different span logs.
 
-Design rules, mirroring :mod:`repro.obs.trace`:
+The engine's own moments — re-encoding passes, kernel compiles, thread
+start/exit, indirect-site promotions, validation failures, quarantined
+faults — are spans too, with stage ``engine`` (zero-duration for the
+point events), so one recorder and one schema cover the whole system.
+
+Design rules:
 
 - **Strictly no-op when disabled.**  Call sites guard on one boolean
   (``spans.enabled``) and the shared :data:`NULL_SPANS` singleton makes
@@ -64,6 +69,15 @@ DEFAULT_SPAN_CAPACITY = 4096
 PIPELINE_STAGES = ("emit", "spool", "send", "admit", "fold", "publish")
 
 SpanRecord = Dict[str, Any]
+
+
+def _jsonable(value: Any) -> Any:
+    """Best-effort fallback for enum/set-ish attr values."""
+    if hasattr(value, "value"):
+        return value.value
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    return str(value)
 
 
 def _random_hex(nbytes: int) -> str:
@@ -367,7 +381,10 @@ class SpanRecorder:
             self._ring.append(record)
             if self.stream is not None:
                 try:
-                    self.stream.write(json.dumps(record, sort_keys=True) + "\n")
+                    self.stream.write(
+                        json.dumps(record, sort_keys=True, default=_jsonable)
+                        + "\n"
+                    )
                 except (OSError, ValueError):
                     logger.warning("span stream write failed; detaching stream")
                     self.stream = None

@@ -1,8 +1,10 @@
 """The engine-facing telemetry facade.
 
-:class:`Telemetry` bundles the three observability surfaces — metrics
-registry, structured trace stream, re-encoding pass reports — behind one
-object the engine can hold.  A disabled engine holds
+:class:`Telemetry` bundles the metrics registry and the re-encoding pass
+reports behind one object the engine can hold.  Engine *events* (passes,
+thread lifecycle, promotions, faults) are spans on the engine's
+:class:`~repro.obs.spans.SpanRecorder` — see
+``DacceEngine(spans=...)``.  A disabled engine holds
 :data:`NULL_TELEMETRY` instead, whose ``enabled`` flag short-circuits
 every hot-path hook to a single boolean test and whose instruments are
 shared no-ops, so the telemetry layer costs nothing unless asked for.
@@ -24,7 +26,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .exporters import to_json_snapshot, to_prometheus_text
 from .registry import (
@@ -34,15 +36,12 @@ from .registry import (
     NULL_INSTRUMENT,
 )
 from .report import PassReportLog, ReencodePassReport
-from .trace import DEFAULT_TRACE_CAPACITY, TraceEmitter
 
 
 @dataclass
 class TelemetryConfig:
     """Knobs for the telemetry surfaces."""
 
-    #: Retained trace records (older records are evicted, counted).
-    trace_capacity: int = DEFAULT_TRACE_CAPACITY
     #: ccStack / call-stack depth histogram bucket upper bounds.
     depth_buckets: Tuple[float, ...] = DEFAULT_DEPTH_BUCKETS
     #: Re-encoding pass duration buckets, seconds.
@@ -52,7 +51,7 @@ class TelemetryConfig:
 
 
 class Telemetry:
-    """Live telemetry: registry + trace emitter + pass-report log."""
+    """Live telemetry: metrics registry + pass-report log."""
 
     enabled = True
 
@@ -60,14 +59,10 @@ class Telemetry:
         self,
         config: Optional[TelemetryConfig] = None,
         registry: Optional[MetricsRegistry] = None,
-        trace_stream: Optional[IO[str]] = None,
     ):
         self.config = config or TelemetryConfig()
         self.registry = registry or MetricsRegistry(
             enabled=True, namespace=self.config.namespace
-        )
-        self.trace = TraceEmitter(
-            capacity=self.config.trace_capacity, stream=trace_stream
         )
         self.pass_reports = PassReportLog()
         self._pass_duration = self.registry.histogram(
@@ -83,16 +78,11 @@ class Telemetry:
 
     # ------------------------------------------------------------------
     def record_pass(self, report: ReencodePassReport) -> None:
-        """Store one pass report; updates metrics and emits a trace record."""
+        """Store one pass report and update the pass metrics."""
         self.pass_reports.append(report)
         self._pass_duration.observe(report.duration_seconds)
         for reason in report.reasons:
             self._pass_count.labels(reason).inc()
-        self.trace.emit("reencode-pass", **report.to_dict())
-
-    def emit(self, event: str, **fields: Any) -> None:
-        """Forward a structured event to the trace stream."""
-        self.trace.emit(event, **fields)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
@@ -102,12 +92,7 @@ class Telemetry:
         return to_prometheus_text(self.snapshot(), self.pass_reports)
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return to_json_snapshot(
-            self.snapshot(),
-            self.pass_reports,
-            extra={"trace_dropped": self.trace.dropped},
-            indent=indent,
-        )
+        return to_json_snapshot(self.snapshot(), self.pass_reports, indent=indent)
 
 
 class _NullTelemetry:
@@ -127,17 +112,7 @@ class _NullTelemetry:
         self._pass_duration = NULL_INSTRUMENT
         self._pass_count = NULL_INSTRUMENT
 
-    @property
-    def trace(self):
-        raise AttributeError(
-            "telemetry is disabled; construct the engine with "
-            "telemetry=Telemetry() to record traces"
-        )
-
     def record_pass(self, report: ReencodePassReport) -> None:
-        pass
-
-    def emit(self, event: str, **fields: Any) -> None:
         pass
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:

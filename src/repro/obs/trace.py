@@ -1,33 +1,21 @@
-"""Structured trace stream for engine events.
+"""JSONL log plumbing: size/age rotation, chronological read-back, tail.
 
-The engine's interesting moments — re-encoding passes, trigger
-evaluations, thread lifecycle, indirect-site promotions, validation
-failures — are emitted as flat JSON-able records.  The emitter keeps a
-bounded in-memory ring (the most recent ``capacity`` events) and can
-additionally mirror every record to a text stream as JSON Lines, which
-is the `dacce trace` output format.
-
-Records are dictionaries with at least::
-
-    {"seq": <monotone int>, "ts": <unix seconds>, "event": <kind>, ...}
-
-No decoding happens on the emission path: like the sample log, the trace
-carries compact runtime state (ids, timestamps, counts) and expansion is
-a consumer concern.
+Span logs (``dacce.spans.v1``, see :mod:`repro.obs.spans`) are written
+through :class:`RotatingTraceStream` so a long-lived process never grows
+one unbounded file, read back across rotated shards with
+:func:`read_rotated_jsonl` (``dacce trace --input``, ``dacce spans``)
+and tailed across rotations with :func:`follow_rotated_jsonl`
+(``dacce trace --follow``).
 """
 
 from __future__ import annotations
 
-import io
 import json
-import logging
 import os
 import time
-from collections import deque
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     IO,
     Iterator,
@@ -36,100 +24,16 @@ from typing import (
     Tuple,
 )
 
-logger = logging.getLogger(__name__)
-
-TraceRecord = Dict[str, Any]
-
-DEFAULT_TRACE_CAPACITY = 4096
-
 DEFAULT_ROTATE_BYTES = 8 * 1024 * 1024
 DEFAULT_ROTATE_BACKUPS = 3
 
 
-class TraceEmitter:
-    """Bounded in-memory event ring with optional JSONL mirroring."""
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_TRACE_CAPACITY,
-        stream: Optional[IO[str]] = None,
-        clock: Callable[[], float] = time.time,
-    ):
-        if capacity <= 0:
-            raise ValueError("trace capacity must be positive")
-        self.capacity = capacity
-        self.stream = stream
-        self._clock = clock
-        self._ring: Deque[TraceRecord] = deque(maxlen=capacity)
-        self._sequence = 0
-        #: Emitted-minus-retained; non-zero once the ring has wrapped.
-        self.dropped = 0
-
-    # ------------------------------------------------------------------
-    def emit(self, event: str, **fields: Any) -> TraceRecord:
-        """Append one structured record; returns the record."""
-        record: TraceRecord = {
-            "seq": self._sequence,
-            "ts": self._clock(),
-            "event": event,
-        }
-        record.update(fields)
-        self._sequence += 1
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(record)
-        if self.stream is not None:
-            try:
-                self.stream.write(json.dumps(record, default=_jsonable) + "\n")
-            except (OSError, ValueError):
-                logger.warning("trace stream write failed; detaching stream")
-                self.stream = None
-        return record
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def emitted(self) -> int:
-        """Total records emitted (including ones evicted from the ring)."""
-        return self._sequence
-
-    def events(self, kind: Optional[str] = None) -> List[TraceRecord]:
-        """Retained records, oldest first; optionally filtered by kind."""
-        if kind is None:
-            return list(self._ring)
-        return [record for record in self._ring if record["event"] == kind]
-
-    def last(self, kind: Optional[str] = None) -> Optional[TraceRecord]:
-        events = self.events(kind)
-        return events[-1] if events else None
-
-    def clear(self) -> None:
-        self._ring.clear()
-        self.dropped = 0
-
-    # ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """Retained records as a JSON Lines string."""
-        buffer = io.StringIO()
-        for record in self._ring:
-            buffer.write(json.dumps(record, default=_jsonable))
-            buffer.write("\n")
-        return buffer.getvalue()
-
-    def write_jsonl(self, path: str) -> str:
-        with open(path, "w") as handle:
-            handle.write(self.to_jsonl())
-        return path
-
-
 class RotatingTraceStream:
-    """A size/age-rotating file target for :class:`TraceEmitter`.
+    """A size/age-rotating file target for a :class:`SpanRecorder`.
 
-    The emitter's in-memory ring stays bounded by construction; this
-    bounds the *mirrored JSONL file* too, so a long ``dacce profile
-    serve`` session cannot grow one unbounded trace file.  Rotation is
+    The recorder's in-memory ring stays bounded by construction; this
+    bounds the *mirrored JSONL file* too, so a long ``dacce serve`` or
+    ``dacce profile serve`` session cannot grow one unbounded log.  Rotation is
     the classic shift scheme: ``trace.jsonl`` → ``trace.jsonl.1`` →
     ``…`` → ``trace.jsonl.<backups>`` (oldest dropped), triggered when
     the active file would exceed ``max_bytes`` or has been open longer
@@ -138,7 +42,7 @@ class RotatingTraceStream:
     but a rotation boundary always falls between records.
 
     Duck-types the ``write``/``flush``/``close`` subset of a text
-    stream, which is all :class:`TraceEmitter` needs.
+    stream, which is all the recorder needs.
     """
 
     def __init__(
@@ -240,15 +144,6 @@ class RotatingTraceStream:
         return out
 
 
-def _jsonable(value: Any) -> Any:
-    """Best-effort fallback for enum/tuple-ish payload fields."""
-    if hasattr(value, "value"):
-        return value.value
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    return str(value)
-
-
 def rotated_files(path: str, backups: int = DEFAULT_ROTATE_BACKUPS) -> List[str]:
     """Existing shards of a rotated JSONL trace, oldest first.
 
@@ -256,7 +151,7 @@ def rotated_files(path: str, backups: int = DEFAULT_ROTATE_BACKUPS) -> List[str]
     ``path.1`` (newest) … ``path.N`` (oldest), so chronological order is
     the highest-numbered backup down to the active file.  ``backups``
     only bounds the scan when no higher-numbered shard exists — shards
-    beyond it (an older run with a larger ``--trace-backups``) are
+    beyond it (an older writer that kept more backups) are
     still picked up.
     """
     out: List[str] = []

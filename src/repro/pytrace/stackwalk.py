@@ -32,19 +32,27 @@ def walk_stack(
     """
     if frame is None:
         frame = sys._getframe(skip)
-    functions: List[int] = []
-    live = {
-        id(f): fid for f, fid in zip(tracer._live_frames, tracer._live_ids)
-    }
-    current: Optional[FrameType] = frame
-    while current is not None:
-        fid = live.get(id(current), _IN_REGION)
-        if fid != _IN_REGION:
-            functions.append(fid)
-        current = current.f_back
-    functions.append(ROOT_FUNCTION)
-    functions.reverse()
-    return CallingContext(tuple(ContextStep(fn) for fn in functions))
+    # The context dataclasses' generated ``__init__``s (filename
+    # ``<string>``) would otherwise be traced as program functions.
+    previous = tracer._in_engine
+    tracer._in_engine = True
+    try:
+        functions: List[int] = []
+        live = {
+            id(f): fid
+            for f, fid in zip(tracer._live_frames, tracer._live_ids)
+        }
+        current: Optional[FrameType] = frame
+        while current is not None:
+            fid = live.get(id(current), _IN_REGION)
+            if fid != _IN_REGION:
+                functions.append(fid)
+            current = current.f_back
+        functions.append(ROOT_FUNCTION)
+        functions.reverse()
+        return CallingContext(tuple(ContextStep(fn) for fn in functions))
+    finally:
+        tracer._in_engine = previous
 
 
 def contexts_agree(decoded: CallingContext, walked: CallingContext) -> bool:

@@ -236,3 +236,42 @@ def test_traced_post_measures_admission(tmp_path):
         assert admits[0]["dur"] > 0.0
     finally:
         server.shutdown()
+
+
+# ----------------------------------------------------------------------
+# malformed input is a JSON 400, never a dropped connection
+
+
+@pytest.mark.parametrize(
+    "path", ["/top?n=x", "/spans?limit=x", "/events?limit=x", "/events?backlog=x"]
+)
+def test_non_integer_query_value_is_400(server, path):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        get(server, path)
+    error = excinfo.value
+    assert error.code == 400
+    assert error.headers["Content-Type"] == "application/json"
+    assert json.loads(error.read())["error"] == "bad-request"
+
+
+def raw_post(server, content_length):
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        connection.putrequest("POST", "/ingest?run=raw")
+        if content_length is not None:
+            connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-5", None])
+def test_bad_content_length_is_400_before_admission(server, content_length):
+    status, document = raw_post(server, content_length)
+    assert status == 400
+    assert document["error"] == "bad-request"
+    # Nothing was reserved: a negative length must not widen the bound.
+    assert server.service.healthz()["pending_bytes"] == 0
+    assert server.service.runs() == []

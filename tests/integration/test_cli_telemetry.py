@@ -1,4 +1,4 @@
-"""CLI telemetry surfaces: ``dacce metrics`` and ``dacce trace``."""
+"""CLI telemetry surfaces: ``dacce metrics`` and ``dacce trace`` (spans)."""
 
 import json
 
@@ -46,7 +46,8 @@ def test_trace_stdout_jsonl(capsys):
     ]
     assert lines
     records = [json.loads(line) for line in lines]
-    assert any(record["event"] == "reencode-pass" for record in records)
+    assert all(record["schema"] == "dacce.spans.v1" for record in records)
+    assert any(record["name"] == "engine.reencode" for record in records)
 
 
 def test_trace_output_file(tmp_path, capsys):
@@ -56,5 +57,11 @@ def test_trace_output_file(tmp_path, capsys):
     records = [
         json.loads(line) for line in path.read_text().splitlines() if line
     ]
-    assert any(record["event"] == "reencode-pass" for record in records)
-    assert all("seq" in record and "ts" in record for record in records)
+    reencodes = [r for r in records if r["name"] == "engine.reencode"]
+    assert reencodes
+    assert all(r["stage"] == "engine" and "ts" in r for r in records)
+    # One record per committed pass, carrying the pass report's fields.
+    assert [r["attrs"]["timestamp"] for r in reencodes] == list(
+        range(1, len(reencodes) + 1)
+    )
+    assert all("max_id" in r["attrs"] for r in reencodes)

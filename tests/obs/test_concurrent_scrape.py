@@ -1,6 +1,6 @@
 """Concurrent scrape safety.
 
-The profile server scrapes engine statistics and the Prometheus
+A live server scrapes engine statistics and the Prometheus
 exposition from daemon threads while the workload thread is inside
 ``process_columns`` — including mid-stream re-encoding passes.  The
 engine gives no stronger guarantee than "reads never raise and counters

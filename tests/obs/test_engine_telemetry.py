@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.engine import DacceEngine
 from repro.core.events import CallKind
-from repro.obs import Telemetry, parse_json_snapshot
+from repro.obs import SPAN_SCHEMA, SpanRecorder, Telemetry, parse_json_snapshot
 from repro.program.generator import GeneratorConfig, generate_program
 from repro.program.trace import (
     PhaseSpec,
@@ -36,7 +36,9 @@ def instrumented_run():
         phases=[PhaseSpec(at_call=7_500, seed=7)],
     )
     telemetry = Telemetry()
-    engine = DacceEngine(root=program.main, telemetry=telemetry)
+    engine = DacceEngine(
+        root=program.main, telemetry=telemetry, spans=SpanRecorder("engine")
+    )
     for event in TraceExecutor(program, spec).events():
         engine.on_event(event)
     return engine, telemetry
@@ -133,17 +135,31 @@ class TestPassReports:
 
 
 class TestTraceStream:
+    """Engine events are spans: one ``engine.reencode`` per committed
+    pass, carrying the pass report's fields."""
+
     def test_reencode_events_traced(self, instrumented_run):
-        _engine, telemetry = instrumented_run
-        passes = telemetry.trace.events("reencode-pass")
-        assert passes
-        assert passes[0]["reasons"]
-        assert "timestamp" in passes[0]
+        engine, telemetry = instrumented_run
+        passes = [
+            record for record in engine.spans.spans(name="engine.reencode")
+            if not record["attrs"].get("skipped")
+        ]
+        assert len(passes) == engine.stats.reencodings > 0
+        for record, report in zip(passes, telemetry.pass_reports):
+            attrs = record["attrs"]
+            assert record["stage"] == "engine"
+            assert attrs["reasons"] == ",".join(report.reasons)
+            assert attrs["timestamp"] == attrs["gts"] == report.timestamp
+            assert attrs["max_id"] == report.max_id
+            assert attrs["new_edges"] == report.new_edges
+            assert report.span["span"] == record["span"]
 
     def test_thread_lifecycle_traced(self, instrumented_run):
-        _engine, telemetry = instrumented_run
-        starts = telemetry.trace.events("thread-start")
-        assert [record["thread"] for record in starts] == [1]
+        engine, _telemetry = instrumented_run
+        starts = engine.spans.spans(name="engine.thread_start")
+        assert [record["attrs"]["thread"] for record in starts] == [1]
+        assert starts[0]["attrs"]["parent_thread"] == 0
+        assert starts[0]["dur"] == 0.0
 
 
 class TestExports:
@@ -209,8 +225,9 @@ def test_trace_jsonl_from_engine(tmp_path, small_program):
     import io
 
     stream = io.StringIO()
-    telemetry = Telemetry(trace_stream=stream)
-    engine = DacceEngine(root=small_program.main, telemetry=telemetry)
+    engine = DacceEngine(
+        root=small_program.main, spans=SpanRecorder("engine", stream=stream)
+    )
     spec = WorkloadSpec(calls=4_000, seed=5, sample_period=37,
                         recursion_affinity=0.4)
     for event in TraceExecutor(small_program, spec).events():
@@ -218,4 +235,5 @@ def test_trace_jsonl_from_engine(tmp_path, small_program):
     lines = [line for line in stream.getvalue().splitlines() if line]
     assert lines
     parsed = [json.loads(line) for line in lines]
-    assert any(record["event"] == "reencode-pass" for record in parsed)
+    assert all(record["schema"] == SPAN_SCHEMA for record in parsed)
+    assert any(record["name"] == "engine.reencode" for record in parsed)

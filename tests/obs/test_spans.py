@@ -159,6 +159,27 @@ class TestSpanRecorder:
         recorder.record("second")
         assert len(recorder) == 2
 
+    def test_non_json_attrs_are_mirrored_best_effort(self):
+        """Engine events may carry enums, sets or arbitrary objects; the
+        mirror renders them instead of raising out of the engine."""
+        import enum
+
+        class Kind(enum.Enum):
+            A = "a-value"
+
+        stream = io.StringIO()
+        recorder = make_recorder(stream=stream)
+        recorder.record(
+            "engine.fault", stage="engine",
+            kind=Kind.A, sites={3, 1, 2}, other=object(),
+        )
+        (line,) = stream.getvalue().splitlines()
+        attrs = json.loads(line)["attrs"]
+        assert attrs["kind"] == "a-value"
+        assert attrs["sites"] == [1, 2, 3]
+        assert attrs["other"].startswith("<object")
+        assert recorder.stream is stream  # still attached
+
     def test_spans_filtering(self):
         recorder = make_recorder()
         recorder.record("a", stage="emit")

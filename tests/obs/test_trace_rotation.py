@@ -1,10 +1,10 @@
-"""Size/age rotation for the JSONL trace mirror."""
+"""Size/age rotation for the JSONL span-log mirror."""
 
 import json
 
 import pytest
 
-from repro.obs import RotatingTraceStream, TraceEmitter
+from repro.obs import RotatingTraceStream, SpanRecorder
 
 
 def record_line(index):
@@ -110,20 +110,20 @@ def test_append_resumes_existing_file(tmp_path):
 
 
 def test_emitter_mirrors_through_rotating_stream(tmp_path):
-    """The emitter's bounded ring is unchanged; only the mirror rotates."""
+    """The recorder's bounded ring is unchanged; only the mirror rotates."""
     path = tmp_path / "trace.jsonl"
-    stream = RotatingTraceStream(str(path), max_bytes=200, backups=2)
-    emitter = TraceEmitter(capacity=4, stream=stream)
+    stream = RotatingTraceStream(str(path), max_bytes=600, backups=2)
+    recorder = SpanRecorder("engine", capacity=4, stream=stream)
     for index in range(25):
-        emitter.emit("tick", index=index)
+        recorder.record("engine.tick", stage="engine", index=index)
     stream.flush()
-    assert len(emitter) == 4  # in-memory semantics intact
-    assert emitter.emitted == 25
+    assert len(recorder) == 4  # in-memory semantics intact
+    assert recorder.emitted == 25
     assert stream.rotations > 0
     mirrored = []
     for name in stream.files():
         mirrored.extend(json.loads(line) for line in open(name))
-    assert any(record["index"] == 24 for record in mirrored)
+    assert any(record["attrs"]["index"] == 24 for record in mirrored)
     stream.close()
 
 
@@ -131,15 +131,16 @@ def test_read_rotated_jsonl_chronological(tmp_path):
     from repro.obs import read_rotated_jsonl, rotated_files
 
     path = tmp_path / "trace.jsonl"
-    stream = RotatingTraceStream(str(path), max_bytes=200, backups=3)
-    emitter = TraceEmitter(capacity=4, stream=stream)
+    stream = RotatingTraceStream(str(path), max_bytes=600, backups=3)
+    recorder = SpanRecorder("engine", capacity=4, stream=stream)
     for index in range(30):
-        emitter.emit("tick", index=index)
+        recorder.record("engine.tick", stage="engine", index=index)
     stream.close()
     shards = rotated_files(str(path))
+    assert len(shards) > 1
     assert shards[-1] == str(path)  # active file last = newest
     records = list(read_rotated_jsonl(str(path)))
-    indexes = [record["index"] for record in records]
+    indexes = [record["attrs"]["index"] for record in records]
     # Oldest-first and strictly increasing across the shard boundary.
     assert indexes == sorted(indexes)
     assert indexes[-1] == 29

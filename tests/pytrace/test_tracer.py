@@ -227,3 +227,33 @@ def test_call_through_untraced_frame_keys_by_traced_caller_offset():
     # One call site per call line in caller, not one for relay's line.
     keys = [key for key in tracer._callsites if key[0] == caller_id]
     assert len(keys) == 2
+
+
+def test_walk_stack_traces_none_of_its_own_machinery():
+    def run(probe):
+        tracer = PythonDacceTracer()
+        agreements = []
+
+        def leaf():
+            if probe:
+                decoded = tracer.decode(tracer.sample())
+                agreements.append(
+                    contexts_agree(decoded, walk_stack(tracer))
+                )
+            return 1
+
+        def mid():
+            return leaf()
+
+        def main():
+            return mid()
+
+        tracer.run(main)
+        return tracer, agreements
+
+    probed, agreements = run(probe=True)
+    plain, _ = run(probe=False)
+    assert agreements == [True]
+    names = sorted(info.name for info in probed._functions.values())
+    assert names == ["leaf", "main", "mid"]
+    assert probed.num_callsites == plain.num_callsites
