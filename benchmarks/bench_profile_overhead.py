@@ -14,7 +14,7 @@ columnar fast path (``process_columns`` ns/event, same methodology as
 The callback is intentionally cheap (append to a list): the point is
 the *hook's* marginal cost — the countdown decrement plus the sample
 materialisations — not the client's aggregation work, which
-``tests/prof`` and the profile server account separately.
+``tests/prof`` and the ingest benchmark account separately.
 
 Results merge into ``BENCH_CORE.json`` as a ``profile_overhead``
 section alongside the existing encode/decode numbers (read-modify-write:

@@ -18,4 +18,4 @@ __all__ = [
 
 # ``PythonDacceTracer.attach_aggregator`` streams samples into a live
 # :class:`repro.prof.CCTAggregator`; import :mod:`repro.prof` directly
-# for the CCT, exporters, diffing and the profile server.
+# for the CCT, exporters and diffing.
